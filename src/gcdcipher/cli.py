@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +18,7 @@ from .filecodec import (
     ConsistencyError,
     KeyFileFormatError,
     block_count,
+    block_table,
     decrypt_stream,
     encrypt_stream,
     parse_key_file,
@@ -89,10 +91,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    if a.exists() and b.exists():
+        return os.path.samefile(a, b)
+    return a.resolve() == b.resolve()
+
+
+def _refuse_clobber(inputs: list[Path], outputs: list[Path]) -> None:
+    """Raise before anything is opened for writing if an output is the same
+    file as an input or as another output."""
+    for i, out in enumerate(outputs):
+        for other in inputs + outputs[:i]:
+            if _same_file(out, other):
+                raise OSError(f"refusing to write {out}: it is the same file as {other}")
+
+
 def cmd_encrypt(args) -> int:
     src_path = Path(args.input)
     ct_path = Path(args.ct) if args.ct else src_path.with_name("ct_" + src_path.name)
     key_path = Path(args.key) if args.key else src_path.with_name("key_" + src_path.name)
+    _refuse_clobber([src_path], [ct_path, key_path])
     start = time.perf_counter()
     with open(src_path, "rb") as src:
         try:
@@ -122,6 +140,7 @@ def cmd_decrypt(args) -> int:
         if name.startswith("ct_"):
             name = name[3:]
         out_path = ct_path.with_name("pt_" + name)
+    _refuse_clobber([ct_path, key_path], [out_path])
     start = time.perf_counter()
     with open(ct_path, "rb") as ct, open(key_path, "rb") as key:
         try:
@@ -136,6 +155,8 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.out:
+        _refuse_clobber([Path(args.key)], [Path(args.out)])
     key = parse_key_file(Path(args.key).read_bytes())
     recovered = keyfile_leakage_audit(key)
     print(
@@ -182,6 +203,7 @@ def cmd_corpus(args) -> int:
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
     files = sorted(p for p in directory.iterdir() if p.is_file())
+    _refuse_clobber(files, [Path(args.csv)])
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_corpus_entry, files))
@@ -222,9 +244,13 @@ def cmd_selftest(args=None) -> int:
 
     ok = 0
     first_bad = None
+    block_ciphers: list[int] = []
+    block_records: list[int] = []
     for x in range(256):
         for y in range(256):
             cipher, record = encrypt_block(x, y)
+            block_ciphers.append(cipher)
+            block_records += record
             try:
                 back = decrypt_block(cipher, record)
             except MalformedRecordError:
@@ -236,6 +262,14 @@ def cmd_selftest(args=None) -> int:
     print(f"exhaustive round trip: {ok}/65536 blocks OK")
     if first_bad is not None:
         failures.append(f"round trip fails first at {first_bad}")
+
+    # the encrypt command reads this table, not encrypt_block
+    table_ciphers, table_records = block_table()
+    table_ok = (table_ciphers.tobytes() == bytes(block_ciphers)
+                and table_records.tobytes() == bytes(block_records))
+    print(f"block table matches encrypt_block: {'OK' if table_ok else 'FAIL'}")
+    if not table_ok:
+        failures.append("block table disagrees with encrypt_block")
 
     if failures:
         print(f"selftest: FAIL ({failures[0]})")

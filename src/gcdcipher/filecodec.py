@@ -14,12 +14,16 @@ unpaired plaintext byte is paired with itself; decryption drops the
 duplicate using the header's plaintext length.
 
 Streams are processed in fixed-size chunks, so memory stays bounded
-regardless of input size. The chunk arithmetic is vectorized with numpy;
-tests pin it byte-for-byte against the scalar ops in ``block``.
+regardless of input size. A block's output depends on that block alone, so
+encryption is a lookup: ``block_table`` holds the cipher byte and key
+record of all 65,536 blocks, built once on first use, and each chunk is
+one gather from it. Tests pin the table exhaustively against the scalar
+``block.encrypt_block``, which stays the definition of the cipher.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
@@ -200,11 +204,18 @@ def _parse_header(header: bytes) -> int:
     return plaintext_length
 
 
-def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
-    # data length must be even; callers self-pair any odd tail
-    arr = np.frombuffer(data, dtype=np.uint8)
-    a = arr[0::2]
-    b = arr[1::2]
+@functools.cache
+def block_table() -> tuple[np.ndarray, np.ndarray]:
+    """Cipher byte and key record of every block, indexed by ``a << 8 | b``.
+
+    Returns a (65536,) array of cipher bytes and a (65536, 5) array of
+    records, both read-only: every later encryption in the process reads
+    them. Built on the first call rather than at import, so commands that
+    never encrypt do not pay for it.
+    """
+    index = np.arange(1 << 16, dtype=np.uint16)
+    a = (index >> 8).astype(np.uint8)
+    b = (index & 0xFF).astype(np.uint8)
     g = np.gcd(a, b)
     safe_g = np.where(g == 0, 1, g).astype(np.uint8)
     rp_first = a // safe_g
@@ -217,7 +228,16 @@ def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
     records[:, 2] = rp_first
     records[:, 3] = np.where(has_rp, rp_second // safe_rp, 0)
     records[:, 4] = np.where(has_rp, rp_second % safe_rp, rp_second)
-    return g.tobytes(), records.tobytes()
+    g.setflags(write=False)
+    records.setflags(write=False)
+    return g, records
+
+
+def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
+    # data length must be even; callers self-pair any odd tail
+    cipher, records = block_table()
+    index = np.frombuffer(data, dtype=">u2")
+    return cipher.take(index).tobytes(), records.take(index, axis=0).tobytes()
 
 
 def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> bytes:

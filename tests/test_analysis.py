@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -95,7 +97,8 @@ def test_hamming_distance():
 
 
 def avalanche_oracle(data: bytes, mask: int) -> float:
-    """Recompute the avalanche percentage from the scalar block ops."""
+    """The definition, from the scalar block ops: encrypt the input and its
+    flipped copy, then count the output bits that differ."""
     mutated = bytes(x ^ mask for x in data)
 
     def streams(p):
@@ -125,6 +128,13 @@ def test_avalanche_golden_pair():
 @given(st.binary(min_size=1, max_size=512))
 def test_avalanche_matches_scalar_oracle(data):
     assert avalanche(data) == pytest.approx(avalanche_oracle(data, 0x08), rel=1e-12)
+
+
+@pytest.mark.parametrize("mask", [0x00, 0x01, 0x08, 0xFF])
+@pytest.mark.parametrize("length", [1, 2, 3, 1001, 4096])
+def test_avalanche_equals_two_encryption_definition(length, mask):
+    data = random.Random(length).randbytes(length)
+    assert avalanche(data, flip_mask=mask) == avalanche_oracle(data, mask)
 
 
 def test_avalanche_no_flip_is_zero():

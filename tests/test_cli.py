@@ -71,6 +71,45 @@ def test_encrypt_unwritable_output(tmp_path):
     assert run_cli(["encrypt", str(src), "--ct", str(tmp_path / "no_dir" / "x")]) == 1
 
 
+def test_encrypt_refuses_cipher_over_input(tmp_path, capsys):
+    src = tmp_path / "same.txt"
+    src.write_bytes(b"precious")
+    assert run_cli(["encrypt", str(src), "--ct", str(src)]) == 1
+    assert src.read_bytes() == b"precious"
+    assert not (tmp_path / "key_same.txt").exists()
+    assert "same file" in capsys.readouterr().err
+
+
+def test_encrypt_refuses_cipher_and_key_on_one_path(tmp_path):
+    src = tmp_path / "a.txt"
+    src.write_bytes(b"precious")
+    out = tmp_path / "o.bin"
+    assert run_cli(["encrypt", str(src), "--ct", str(out), "--key", str(out)]) == 1
+    assert src.read_bytes() == b"precious"
+    assert not out.exists()
+
+
+def test_decrypt_refuses_output_over_cipher(tmp_path):
+    data = b"precious"
+    cipher, key = encrypt_file(data)
+    ct, key_path = tmp_path / "ct_b.txt", tmp_path / "key_b.txt"
+    ct.write_bytes(cipher)
+    key_path.write_bytes(key.to_bytes())
+    (tmp_path / "link").symlink_to(ct)
+    for out in (ct, key_path, tmp_path / "link"):
+        assert run_cli(["decrypt", str(ct), str(key_path), "--out", str(out)]) == 1
+        assert ct.read_bytes() == cipher
+        assert key_path.read_bytes() == key.to_bytes()
+
+
+def test_audit_refuses_output_over_key(tmp_path):
+    _, key = encrypt_file(b"precious")
+    key_path = tmp_path / "key"
+    key_path.write_bytes(key.to_bytes())
+    assert run_cli(["audit", str(key_path), "--out", str(key_path)]) == 1
+    assert key_path.read_bytes() == key.to_bytes()
+
+
 def test_decrypt_count_mismatch_exits_2(tmp_path):
     data = b"0123456789"
     cipher, key = encrypt_file(data)
@@ -193,6 +232,14 @@ def test_corpus_parallel_matches_serial_except_timings(tmp_path):
     assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
 
+def test_corpus_refuses_report_over_an_input(tmp_path):
+    directory = make_corpus(tmp_path, count=2)
+    victim = sorted(directory.iterdir())[0]
+    before = victim.read_bytes()
+    assert run_cli(["corpus", str(directory), "--csv", str(victim)]) == 1
+    assert victim.read_bytes() == before
+
+
 def test_corpus_missing_directory(tmp_path):
     assert run_cli(["corpus", str(tmp_path / "nope"), "--csv", str(tmp_path / "r.csv")]) == 1
 
@@ -202,6 +249,17 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "65536/65536 blocks OK" in out
     assert "selftest: PASS" in out
+
+
+def test_selftest_catches_table_mismatch(monkeypatch, capsys):
+    ciphers, records = cli.block_table()
+    broken = ciphers.copy()
+    broken[105 << 8 | 110] = 1
+    monkeypatch.setattr("gcdcipher.cli.block_table", lambda: (broken, records))
+    assert run_cli(["selftest"]) != 0
+    out = capsys.readouterr().out
+    assert "block table matches encrypt_block: FAIL" in out
+    assert "65536/65536 blocks OK" in out  # the scalar round trip alone passes
 
 
 def test_selftest_catches_broken_gcd(monkeypatch, capsys):

@@ -1,10 +1,15 @@
 import io
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gcdcipher
 from gcdcipher.block import encrypt_block
 from gcdcipher.filecodec import (
     HEADER_SIZE,
@@ -15,6 +20,7 @@ from gcdcipher.filecodec import (
     KeyFile,
     KeyFileFormatError,
     block_count,
+    block_table,
     decrypt_file,
     decrypt_stream,
     encrypt_file,
@@ -115,6 +121,47 @@ def test_vector_path_matches_scalar_blocks():
         ref_cipher, ref_records = scalar_encrypt(data)
         assert cipher == ref_cipher
         assert key.record_bytes == ref_records
+
+
+def test_block_table_matches_encrypt_block_exhaustively():
+    """Encryption reads the table, so every one of its rows is pinned to the spec."""
+    ciphers, records = bytearray(), bytearray()
+    for a in range(256):
+        for b in range(256):
+            g, rec = encrypt_block(a, b)
+            ciphers.append(g)
+            records += rec.to_bytes()
+    table_ciphers, table_records = block_table()
+    assert table_ciphers.shape == (65536,) and table_records.shape == (65536, 5)
+    assert table_ciphers.tobytes() == ciphers
+    assert table_records.tobytes() == records
+
+
+def test_block_table_is_read_only():
+    ciphers, records = block_table()
+    with pytest.raises(ValueError):
+        ciphers[0] = 1
+    with pytest.raises(ValueError):
+        records[0, 0] = 1
+    assert block_table()[0] is ciphers  # built once, shared by every caller
+
+
+def test_block_table_built_on_first_encrypt_only():
+    script = """
+import gcdcipher.cli
+from gcdcipher import filecodec
+from gcdcipher.analysis import keyfile_leakage_audit
+key = filecodec.KeyFile(2, bytes([150, 145, 21, 1, 1]))
+assert filecodec.decrypt_file(b"\\x05", key) == b"in"
+assert keyfile_leakage_audit(key) == b"in"
+assert filecodec.block_table.cache_info().currsize == 0, "built before any encryption"
+filecodec.encrypt_file(b"in")
+assert filecodec.block_table.cache_info().currsize == 1
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(gcdcipher.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_order_preservation():
