@@ -7,14 +7,13 @@ wall-clock codec timing, and the key-file leakage audit.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .block import RECORD_SIZE
-from .filecodec import KeyFile, block_table, decrypt_file, encrypt_file
+from .filecodec import KeyFile, decrypt_file, encrypt_file
 
 # default flip target: the 5th bit counting the most significant as 1st (weight 8)
 FLIP_MASK = 0x08
@@ -79,33 +78,18 @@ def avalanche(plaintext: bytes, flip_mask: int = FLIP_MASK) -> float:
     The compared output is the cipher bytes followed by the key records;
     the constant key-file header is excluded. With flip_mask 0 the mutated
     input equals the original and the result is exactly 0.
-
-    Flipping every byte maps block i to block i ^ (m << 8 | m), the
-    self-paired tail included, so the changed-bit count is one gather from
-    a per-block table instead of a second encryption.
     """
     data = bytes(plaintext)
     if not data:
         raise ValueError("avalanche is undefined for an empty plaintext")
     if not 0 <= flip_mask <= 255:
         raise ValueError(f"flip mask out of range: {flip_mask}")
-    if len(data) % 2:
-        data += data[-1:]  # self-pair the trailing byte, as encrypt_file does
-    blocks = np.frombuffer(data, dtype=">u2")
-    changed = int(_flip_differences(flip_mask).take(blocks).sum())
-    return 100.0 * changed / (8 * (1 + RECORD_SIZE) * len(blocks))
-
-
-@functools.cache  # one 64 KiB table per mask, so at most 256 of them
-def _flip_differences(flip_mask: int) -> np.ndarray:
-    """Bits that differ between the cipher byte plus record of block i and
-    of block i ^ (flip_mask << 8 | flip_mask), for every block i."""
-    cipher, records = block_table()
-    outputs = np.column_stack((cipher, records))
-    flipped = outputs[np.arange(1 << 16) ^ (flip_mask << 8 | flip_mask)]
-    differences = _POPCOUNT[outputs ^ flipped].sum(axis=1).astype(np.uint8)
-    differences.setflags(write=False)
-    return differences
+    mutated = (np.frombuffer(data, dtype=np.uint8) ^ np.uint8(flip_mask)).tobytes()
+    base_cipher, base_key = encrypt_file(data)
+    mut_cipher, mut_key = encrypt_file(mutated)
+    baseline = base_cipher + base_key.record_bytes
+    flipped = mut_cipher + mut_key.record_bytes
+    return 100.0 * hamming_distance(baseline, flipped) / (8 * len(baseline))
 
 
 def keyfile_leakage_audit(key: KeyFile) -> bytes:

@@ -240,6 +240,16 @@ def test_corpus_refuses_report_over_an_input(tmp_path):
     assert victim.read_bytes() == before
 
 
+def test_corpus_rerun_refuses_its_own_report_inside_the_directory(tmp_path):
+    directory = make_corpus(tmp_path, count=2)
+    report = directory / "report.csv"
+    assert run_cli(["corpus", str(directory), "--csv", str(report)]) == 0
+    before = report.read_bytes()
+    # the earlier report is now a regular file of the analysed directory
+    assert run_cli(["corpus", str(directory), "--csv", str(report)]) == 1
+    assert report.read_bytes() == before
+
+
 def test_corpus_missing_directory(tmp_path):
     assert run_cli(["corpus", str(tmp_path / "nope"), "--csv", str(tmp_path / "r.csv")]) == 1
 
