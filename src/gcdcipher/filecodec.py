@@ -237,7 +237,18 @@ def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
     # data length must be even; callers self-pair any odd tail
     cipher, records = block_table()
     index = np.frombuffer(data, dtype=">u2")
-    return cipher.take(index).tobytes(), records.take(index, axis=0).tobytes()
+    out_cipher = np.empty(len(index), dtype=np.uint8)
+    out_records = np.empty((len(index), RECORD_SIZE), dtype=np.uint8)
+    # take() casts its index to intp, 8 bytes a block; a whole in-memory
+    # file at once would allocate 4x the plaintext, so gather per chunk.
+    # A 16-bit index is always in range, so "clip" never clips; it only
+    # spares the bounds check and the buffered copy "raise" makes with out=.
+    for start in range(0, len(index), CHUNK_BLOCKS):
+        stop = start + CHUNK_BLOCKS
+        part = index[start:stop].astype(np.intp)
+        cipher.take(part, out=out_cipher[start:stop], mode="clip")
+        records.take(part, axis=0, out=out_records[start:stop], mode="clip")
+    return out_cipher.tobytes(), out_records.tobytes()
 
 
 def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> bytes:
