@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="analyze every file in a directory and write a CSV report")
     p.add_argument("dir", help="directory of input files")
     p.add_argument("--csv", default="corpus_report.csv", help="CSV output path")
-    p.add_argument("--jobs", type=int, default=1, help="number of worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="number of worker processes, at most one per file and per CPU")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("selftest", help="run the built-in correctness checks")
@@ -204,8 +205,10 @@ def cmd_corpus(args) -> int:
         raise NotADirectoryError(f"not a directory: {directory}")
     files = sorted(p for p in directory.iterdir() if p.is_file())
     _refuse_clobber(files, [Path(args.csv)])
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a worker beyond the files or the CPUs would only start and sit idle
+    jobs = min(args.jobs, len(files), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_entry, files))
     else:
         results = [_corpus_entry(p) for p in files]

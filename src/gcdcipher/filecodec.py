@@ -131,7 +131,7 @@ def decrypt_file(cipher: bytes, key: KeyFile) -> bytes:
             f"cipher has {len(cipher)} blocks but key has {key.record_count} records"
         )
     plain = _decode_blocks(cipher, key.record_bytes, 0)
-    return plain[: key.plaintext_length]
+    return plain[: key.plaintext_length].tobytes()
 
 
 def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> int:
@@ -183,7 +183,7 @@ def decrypt_stream(cipher_in: BinaryIO, key_in: BinaryIO, out: BinaryIO) -> int:
         done += k
         if done == blocks and plaintext_length % 2:
             plain = plain[:-1]  # drop the self-paired duplicate
-        out.write(plain)
+        out.write(plain.tobytes())
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
     if key_in.read(1):
@@ -248,24 +248,34 @@ def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
         part = index[start:stop].astype(np.intp)
         cipher.take(part, out=out_cipher[start:stop], mode="clip")
         records.take(part, axis=0, out=out_records[start:stop], mode="clip")
+        del part  # free the intp index before tobytes() copies the outputs
     return out_cipher.tobytes(), out_records.tobytes()
 
 
-def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> bytes:
-    g = np.frombuffer(cipher, dtype=np.uint8).astype(np.uint32)
-    recs = np.frombuffer(records, dtype=np.uint8).reshape(-1, RECORD_SIZE).astype(np.uint32)
-    first = recs[:, 2] * g
-    second = (recs[:, 2] * recs[:, 3] + recs[:, 4]) * g
-    bad = (first > 255) | (second > 255)
-    if bad.any():
-        index = first_block + int(np.argmax(bad))
-        raise CorruptRecordError(
-            f"key record {index} reconstructs a value above 255", index
-        )
-    plain = np.empty(2 * len(g), dtype=np.uint8)
-    plain[0::2] = first
-    plain[1::2] = second
-    return plain.tobytes()
+def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> np.ndarray:
+    # returns the 2 * len(cipher) plaintext bytes as an array, so callers can
+    # drop a self-paired tail byte before copying them out
+    g = np.frombuffer(cipher, dtype=np.uint8)
+    recs = np.frombuffer(records, dtype=np.uint8).reshape(-1, RECORD_SIZE)
+    plain = np.empty((len(g), 2), dtype=np.uint8)
+    # widen inside the ufuncs, chunk by chunk: casting whole record columns
+    # of an in-memory file up front would allocate 12 bytes a block
+    for start in range(0, len(g), CHUNK_BLOCKS):
+        stop = start + CHUNK_BLOCKS
+        g_part, rp_first = g[start:stop], recs[start:stop, 2]
+        first = np.multiply(rp_first, g_part, dtype=np.uint16)  # at most 255 * 255
+        second = np.multiply(rp_first, recs[start:stop, 3], dtype=np.uint32)
+        second += recs[start:stop, 4]
+        second *= g_part
+        bad = (first > 255) | (second > 255)
+        if bad.any():
+            index = first_block + start + int(np.argmax(bad))
+            raise CorruptRecordError(
+                f"key record {index} reconstructs a value above 255", index
+            )
+        plain[start:stop, 0] = first
+        plain[start:stop, 1] = second
+    return plain.reshape(-1)
 
 
 def _read_full(stream: BinaryIO, n: int) -> bytes:

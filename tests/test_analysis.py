@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from gcdcipher.analysis import (
     keyfile_leakage_audit,
 )
 from gcdcipher.block import encrypt_block
-from gcdcipher.filecodec import KeyFile, encrypt_file
+from gcdcipher.filecodec import KeyFile, block_table, encrypt_file
 
 
 def table(**counts) -> np.ndarray:
@@ -92,8 +94,16 @@ def test_hamming_distance():
     assert hamming_distance(b"\x00", b"\xff") == 8
     assert hamming_distance(b"\x0f\xf0", b"\x0f\xf0") == 0
     assert hamming_distance(b"\x01\x02", b"\x03\x02") == 1
+    assert hamming_distance(bytes(1001), b"\xff" * 1001) == 8008  # every word full
     with pytest.raises(ValueError):
         hamming_distance(b"ab", b"a")
+
+
+@given(st.data())
+def test_hamming_distance_matches_bit_count(data):
+    a = data.draw(st.binary(max_size=100))
+    b = data.draw(st.binary(min_size=len(a), max_size=len(a)))
+    assert hamming_distance(a, b) == sum((x ^ y).bit_count() for x, y in zip(a, b))
 
 
 def avalanche_oracle(data: bytes, mask: int) -> float:
@@ -201,3 +211,58 @@ def test_analyze_file_even_length_is_exactly_half():
 def test_analyze_file_empty_rejected():
     with pytest.raises(ValueError):
         analyze_file(b"")
+
+
+SEAM_LENGTHS = [1, 15, 16, 17, 31, 47, 48, 49, 50]  # 16-byte chunks with CHUNK_BLOCKS 8
+
+
+def scalar_cipher(data: bytes) -> bytes:
+    if len(data) % 2:
+        data += data[-1:]
+    return bytes(encrypt_block(data[i], data[i + 1])[0] for i in range(0, len(data), 2))
+
+
+def counter_table(data: bytes) -> np.ndarray:
+    out = np.zeros(256, dtype=np.int64)
+    for value, count in Counter(data).items():
+        out[value] = count
+    return out
+
+
+@pytest.mark.parametrize("mask", [0x00, 0x01, 0x08, 0xFF])
+@pytest.mark.parametrize("length", SEAM_LENGTHS)
+def test_avalanche_is_exact_across_chunk_seams(monkeypatch, length, mask):
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = random.Random(length).randbytes(length)
+    assert avalanche(data, flip_mask=mask) == avalanche_oracle(data, mask)
+
+
+@pytest.mark.parametrize("length", SEAM_LENGTHS)
+def test_analyze_file_is_exact_across_chunk_seams(monkeypatch, length):
+    """Chunked analysis reports exactly what the whole-buffer definitions give."""
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = random.Random(1000 + length).randbytes(length)
+    cipher = scalar_cipher(data)
+    report = analyze_file(data)
+    assert report.source_size == length
+    assert report.cipher_size == len(cipher)
+    assert (report.chi_square, report.degrees_of_freedom) == chi_square(
+        counter_table(data), counter_table(cipher)
+    )
+    assert report.avalanche_percent == avalanche_oracle(data, 0x08)
+    assert report.compression_percent == 100.0 * (1.0 - len(cipher) / length)
+
+
+def test_analyze_file_memory_does_not_grow_with_the_file():
+    """Beyond the input itself, analysis holds a few chunks, not copies of the file."""
+    data = np.random.default_rng(8).integers(0, 256, 8 << 20, dtype=np.uint8).tobytes()
+    block_table()  # built once per process; not part of any one analysis
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        analyze_file(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) // 8

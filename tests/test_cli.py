@@ -232,6 +232,42 @@ def test_corpus_parallel_matches_serial_except_timings(tmp_path):
     assert strip(read_rows(serial)) == strip(read_rows(parallel))
 
 
+@pytest.mark.parametrize(
+    "files, jobs, cpus, pool_size",
+    [
+        (3, 64, 4, 3),  # no more workers than files
+        (6, 64, 4, 4),  # no more workers than CPUs
+        (6, 2, 4, 2),
+        (1, 64, 4, None),  # one worker would be one process too many: run in-process
+        (6, 2, None, None),  # CPU count unknown: treated as one
+    ],
+)
+def test_corpus_clamps_jobs(tmp_path, monkeypatch, files, jobs, cpus, pool_size):
+    """The pool is sized from the work; no real worker is started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    directory = make_corpus(tmp_path, count=files)
+    csv_path = tmp_path / "report.csv"
+    assert run_cli(["corpus", str(directory), "--csv", str(csv_path), "--jobs", str(jobs)]) == 0
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert len(read_rows(csv_path)) == files + 1
+
+
 def test_corpus_refuses_report_over_an_input(tmp_path):
     directory = make_corpus(tmp_path, count=2)
     victim = sorted(directory.iterdir())[0]

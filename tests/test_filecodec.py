@@ -134,6 +134,31 @@ def test_encrypt_file_gathers_across_chunks(monkeypatch, length):
     assert (cipher, key.record_bytes) == scalar_encrypt(data)
 
 
+@pytest.mark.parametrize("length", [15, 16, 17, 33, 1001])
+def test_decrypt_file_reconstructs_across_chunks(monkeypatch, length):
+    """An in-memory file is decoded chunk by chunk; no block is lost at a seam."""
+    import random
+
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = random.Random(length).randbytes(length)
+    assert decrypt_file(*encrypt_file(data)) == data
+
+
+def test_decrypt_file_reports_global_index_of_corrupt_record_in_third_chunk(monkeypatch):
+    import random
+
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = bytearray(random.Random(3).randbytes(61))
+    data[38:40] = bytes([100, 50])  # block 19, in the third 8-block chunk; gcd 50
+    cipher, key = encrypt_file(bytes(data))
+    records = bytearray(key.record_bytes)
+    records[19 * 5 + 2] = 255  # rp_first 255 with cipher 50 reconstructs 12750
+    with pytest.raises(CorruptRecordError) as excinfo:
+        decrypt_file(cipher, KeyFile(key.plaintext_length, bytes(records)))
+    assert excinfo.value.block_index == 19
+    assert "key record 19 " in str(excinfo.value)
+
+
 def test_block_table_matches_encrypt_block_exhaustively():
     """Encryption reads the table, so every one of its rows is pinned to the spec."""
     ciphers, records = bytearray(), bytearray()
