@@ -25,11 +25,6 @@ from .filecodec import KeyFile, block_count, decrypt_file, encrypt_file
 # default flip target: the 5th bit counting the most significant as 1st (weight 8)
 FLIP_MASK = 0x08
 
-# SWAR popcount constants for 64-bit words
-_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101,
-))
-
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -75,25 +70,9 @@ def hamming_distance(a: bytes, b: bytes) -> int:
     """Number of differing bits between two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    # XOR into a zero-padded buffer and count bits eight bytes at a time; a
-    # byte lookup table would make take() cast the bytes to intp, 8x their size
-    xored = np.zeros(-(-len(a) // 8) * 8, dtype=np.uint8)
-    np.bitwise_xor(np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8),
-                   out=xored[: len(a)])
-    x = xored.view(np.uint64)
-    t = x >> 1
-    t &= _M1
-    x -= t
-    np.right_shift(x, 2, out=t)
-    t &= _M2
-    x &= _M2
-    x += t
-    np.right_shift(x, 4, out=t)
-    x += t
-    x &= _M4
-    x *= _H01  # wraps by design: the top byte collects the eight byte counts
-    x >>= 56
-    return int(x.sum())
+    bits = np.bitwise_xor(np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8))
+    np.bitwise_count(bits, out=bits)
+    return int(bits.sum(dtype=np.int64))
 
 
 def _chunks(data: memoryview) -> Iterator[memoryview]:

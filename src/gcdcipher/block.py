@@ -33,15 +33,6 @@ class KeyRecord(NamedTuple):
     quotient: int
     remainder: int
 
-    def to_bytes(self) -> bytes:
-        return bytes(self)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "KeyRecord":
-        if len(raw) != RECORD_SIZE:
-            raise ValueError(f"key record must be {RECORD_SIZE} bytes, got {len(raw)}")
-        return cls(*raw)
-
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor, with gcd(0, x) = x and gcd(0, 0) = 0."""

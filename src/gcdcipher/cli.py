@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .analysis import AnalysisReport, analyze_file, keyfile_leakage_audit
@@ -107,21 +107,28 @@ def _refuse_clobber(inputs: list[Path], outputs: list[Path]) -> None:
                 raise OSError(f"refusing to write {out}: it is the same file as {other}")
 
 
+@contextlib.contextmanager
+def _removed_on_failure(*paths: Path):
+    """Delete the outputs if the body raises, so no partial file is left."""
+    try:
+        yield
+    except BaseException as exc:
+        for path in paths:
+            # an error naming the path came from opening it: nothing of ours is there
+            if getattr(exc, "filename", None) != str(path):
+                path.unlink(missing_ok=True)
+        raise
+
+
 def cmd_encrypt(args) -> int:
     src_path = Path(args.input)
     ct_path = Path(args.ct) if args.ct else src_path.with_name("ct_" + src_path.name)
     key_path = Path(args.key) if args.key else src_path.with_name("key_" + src_path.name)
     _refuse_clobber([src_path], [ct_path, key_path])
     start = time.perf_counter()
-    with open(src_path, "rb") as src:
-        try:
-            with open(ct_path, "wb") as ct, open(key_path, "wb") as key:
-                length = encrypt_stream(src, ct, key)
-        except BaseException:
-            # never leave partial outputs behind
-            ct_path.unlink(missing_ok=True)
-            key_path.unlink(missing_ok=True)
-            raise
+    with open(src_path, "rb") as src, _removed_on_failure(ct_path, key_path):
+        with open(ct_path, "wb") as ct, open(key_path, "wb") as key:
+            length = encrypt_stream(src, ct, key)
     elapsed = time.perf_counter() - start
     blocks = block_count(length)
     print(
@@ -143,13 +150,9 @@ def cmd_decrypt(args) -> int:
         out_path = ct_path.with_name("pt_" + name)
     _refuse_clobber([ct_path, key_path], [out_path])
     start = time.perf_counter()
-    with open(ct_path, "rb") as ct, open(key_path, "rb") as key:
-        try:
-            with open(out_path, "wb") as out:
-                length = decrypt_stream(ct, key, out)
-        except BaseException:
-            out_path.unlink(missing_ok=True)
-            raise
+    with open(ct_path, "rb") as ct, open(key_path, "rb") as key, _removed_on_failure(out_path):
+        with open(out_path, "wb") as out:
+            length = decrypt_stream(ct, key, out)
     elapsed = time.perf_counter() - start
     print(f"{ct_path} + {key_path} -> {out_path} ({length} bytes) in {elapsed:.3f} s")
     return EXIT_OK
@@ -166,7 +169,9 @@ def cmd_audit(args) -> int:
         file=sys.stderr,
     )
     if args.out:
-        Path(args.out).write_bytes(recovered)
+        out_path = Path(args.out)
+        with _removed_on_failure(out_path):
+            out_path.write_bytes(recovered)
         print(f"recovered {len(recovered)} bytes from {args.key} -> {args.out}", file=sys.stderr)
     else:
         sys.stdout.buffer.write(recovered)
@@ -204,17 +209,21 @@ def cmd_corpus(args) -> int:
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
     files = sorted(p for p in directory.iterdir() if p.is_file())
-    _refuse_clobber(files, [Path(args.csv)])
+    csv_path = Path(args.csv)
+    _refuse_clobber(files, [csv_path])
     # a worker beyond the files or the CPUs would only start and sit idle
     jobs = min(args.jobs, len(files), os.cpu_count() or 1)
     if jobs > 1:
+        # imported here: the process pool's modules slow every command's start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_corpus_entry, files))
     else:
         results = [_corpus_entry(p) for p in files]
 
     failures = 0
-    with open(args.csv, "w", newline="") as handle:
+    with _removed_on_failure(csv_path), open(csv_path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for name, report, error in results:

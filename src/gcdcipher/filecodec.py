@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class KeyFile:
     """Parsed key file: the plaintext length plus the raw record payload.
 
     Records are kept as bytes rather than objects so multi-megabyte keys
-    stay cheap; use ``record``/``records`` for structured access.
+    stay cheap; use ``record`` for structured access.
     """
 
     plaintext_length: int
@@ -75,9 +75,9 @@ class KeyFile:
     def __post_init__(self) -> None:
         expected = block_count(self.plaintext_length) * RECORD_SIZE
         if len(self.record_bytes) != expected:
-            raise ValueError(
-                f"plaintext length {self.plaintext_length} implies "
-                f"{expected} record bytes, got {len(self.record_bytes)}"
+            raise KeyFileFormatError(
+                f"plaintext length {self.plaintext_length} implies a {expected}-byte "
+                f"record payload, got {len(self.record_bytes)} bytes"
             )
 
     @property
@@ -90,37 +90,20 @@ class KeyFile:
         offset = index * RECORD_SIZE
         return KeyRecord(*self.record_bytes[offset : offset + RECORD_SIZE])
 
-    def records(self) -> Iterator[KeyRecord]:
-        for offset in range(0, len(self.record_bytes), RECORD_SIZE):
-            yield KeyRecord(*self.record_bytes[offset : offset + RECORD_SIZE])
-
     def to_bytes(self) -> bytes:
-        header = struct.pack(HEADER_FORMAT, MAGIC, VERSION, self.plaintext_length)
-        return header + self.record_bytes
+        return _header(self.plaintext_length) + self.record_bytes
 
 
 def parse_key_file(raw: bytes) -> KeyFile:
     """Parse and validate a serialized key file."""
-    raw = bytes(raw)
-    plaintext_length = _parse_header(raw[:HEADER_SIZE])
-    payload = raw[HEADER_SIZE:]
-    expected = block_count(plaintext_length) * RECORD_SIZE
-    if len(payload) != expected:
-        raise KeyFileFormatError(
-            f"plaintext length {plaintext_length} implies a {expected}-byte "
-            f"record payload, got {len(payload)} bytes"
-        )
-    return KeyFile(plaintext_length, payload)
+    return KeyFile(_parse_header(raw[:HEADER_SIZE]), bytes(raw[HEADER_SIZE:]))
 
 
 def encrypt_file(plaintext: bytes) -> tuple[bytes, KeyFile]:
     """Encrypt a byte string; returns the cipher bytes and the key file."""
     data = bytes(plaintext)
-    length = len(data)
-    if length % 2:
-        data += data[-1:]  # self-pair the trailing byte
     cipher, records = _encode_blocks(data)
-    return cipher, KeyFile(length, records)
+    return cipher, KeyFile(len(data), records)
 
 
 def decrypt_file(cipher: bytes, key: KeyFile) -> bytes:
@@ -140,7 +123,7 @@ def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> in
     key_out must be seekable: the header is written up front with a
     placeholder length and patched once the input is exhausted.
     """
-    key_out.write(struct.pack(HEADER_FORMAT, MAGIC, VERSION, 0))
+    key_out.write(_header(0))
     total = 0
     chunk_bytes = 2 * CHUNK_BLOCKS
     while True:
@@ -149,15 +132,13 @@ def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> in
         if not got:
             break
         total += got
-        if got % 2:
-            data += data[-1:]  # only possible on the final chunk
         cipher, records = _encode_blocks(data)
         cipher_out.write(cipher)
         key_out.write(records)
         if got < chunk_bytes:
             break
     key_out.seek(0)
-    key_out.write(struct.pack(HEADER_FORMAT, MAGIC, VERSION, total))
+    key_out.write(_header(total))
     return total
 
 
@@ -189,6 +170,10 @@ def decrypt_stream(cipher_in: BinaryIO, key_in: BinaryIO, out: BinaryIO) -> int:
     if key_in.read(1):
         raise KeyFileFormatError("trailing bytes after the final key record")
     return plaintext_length
+
+
+def _header(plaintext_length: int) -> bytes:
+    return struct.pack(HEADER_FORMAT, MAGIC, VERSION, plaintext_length)
 
 
 def _parse_header(header: bytes) -> int:
@@ -234,7 +219,8 @@ def block_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
-    # data length must be even; callers self-pair any odd tail
+    if len(data) % 2:
+        data += data[-1:]  # self-pair the trailing byte
     cipher, records = block_table()
     index = np.frombuffer(data, dtype=">u2")
     out_cipher = np.empty(len(index), dtype=np.uint8)

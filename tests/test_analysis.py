@@ -118,7 +118,7 @@ def avalanche_oracle(data: bytes, mask: int) -> float:
         for i in range(0, len(p), 2):
             g, rec = encrypt_block(p[i], p[i + 1])
             cipher.append(g)
-            recs += rec.to_bytes()
+            recs += bytes(rec)
         return bytes(cipher) + bytes(recs)
 
     a, b = streams(data), streams(mutated)

@@ -153,11 +153,6 @@ def test_decrypt_block_rejects_negative_reconstruction():
 
 def test_key_record_bytes_round_trip():
     rec = KeyRecord(150, 145, 21, 1, 1)
-    raw = rec.to_bytes()
+    raw = bytes(rec)
     assert raw == bytes([150, 145, 21, 1, 1])
-    assert KeyRecord.from_bytes(raw) == rec
-
-
-def test_key_record_from_bytes_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        KeyRecord.from_bytes(b"\x01\x02\x03")
+    assert KeyRecord(*raw) == rec

@@ -1,11 +1,17 @@
 import csv
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gcdcipher import cli
 from gcdcipher.filecodec import MAGIC, VERSION, encrypt_file
+
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 def run_cli(argv):
@@ -69,6 +75,23 @@ def test_encrypt_unwritable_output(tmp_path):
     src = tmp_path / "a.txt"
     src.write_bytes(b"hi")
     assert run_cli(["encrypt", str(src), "--ct", str(tmp_path / "no_dir" / "x")]) == 1
+
+
+def test_encrypt_keeps_an_existing_output_it_could_not_open(tmp_path, monkeypatch):
+    src, ct, key = tmp_path / "a.txt", tmp_path / "ct", tmp_path / "key"
+    src.write_bytes(b"hi")
+    key.write_bytes(b"precious")
+    real_open = open
+
+    def open_key_read_only(file, mode="r", *args, **kwargs):
+        if str(file) == str(key) and "w" in mode:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_key_read_only, raising=False)
+    assert run_cli(["encrypt", str(src), "--ct", str(ct), "--key", str(key)]) == 1
+    assert key.read_bytes() == b"precious"  # never opened, so left alone
+    assert not ct.exists()  # opened and truncated, so removed
 
 
 def test_encrypt_refuses_cipher_over_input(tmp_path, capsys):
@@ -259,7 +282,7 @@ def test_corpus_clamps_jobs(tmp_path, monkeypatch, files, jobs, cpus, pool_size)
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     directory = make_corpus(tmp_path, count=files)
     csv_path = tmp_path / "report.csv"
@@ -319,3 +342,47 @@ def test_usage_errors_exit_1():
     assert run_cli([]) == 1
     assert run_cli(["no-such-command"]) == 1
     assert run_cli(["encrypt"]) == 1
+
+
+# runs main() after lowering the file-size limit for this child alone; with
+# SIGXFSZ ignored, a write past the limit fails with EFBIG instead of killing it
+SIZE_LIMITED_CLI = """
+import resource, signal, sys
+from gcdcipher.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "audit", "corpus"])
+def test_failed_write_leaves_no_output(tmp_path, command):
+    data = random.Random(11).randbytes(300_000)
+    src, ct, key, out = (tmp_path / name for name in ("in.bin", "ct.bin", "key.bin", "out.bin"))
+    src.write_bytes(data)
+    cipher, key_file = encrypt_file(data)
+    ct.write_bytes(cipher)
+    key.write_bytes(key_file.to_bytes())
+    directory = tmp_path / "corpus"
+    directory.mkdir()
+    for i in range(200):
+        (directory / f"file_{i:03d}.bin").write_bytes(data[1500 * i : 1500 * (i + 1)])
+    new_ct, new_key = tmp_path / "new_ct.bin", tmp_path / "new_key.bin"
+    argv, outputs = {
+        "encrypt": (["encrypt", src, "--ct", new_ct, "--key", new_key], [new_ct, new_key]),
+        "decrypt": (["decrypt", ct, key, "--out", out], [out]),
+        "audit": (["audit", key, "--out", out], [out]),
+        "corpus": (["corpus", directory, "--csv", out], [out]),
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", SIZE_LIMITED_CLI, *map(str, argv)], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "File too large" in proc.stderr
+    assert [p for p in outputs if p.exists()] == []
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    script = "import sys, gcdcipher.cli; assert 'concurrent.futures.process' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

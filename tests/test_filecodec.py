@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import gcdcipher
-from gcdcipher.block import encrypt_block
+from gcdcipher.block import KeyRecord, MalformedRecordError, decrypt_block, encrypt_block
 from gcdcipher.filecodec import (
     HEADER_SIZE,
     MAGIC,
@@ -44,7 +45,7 @@ def scalar_encrypt(data: bytes) -> tuple[bytes, bytes]:
     for i in range(0, len(data), 2):
         g, rec = encrypt_block(data[i], data[i + 1])
         cipher.append(g)
-        records += rec.to_bytes()
+        records += bytes(rec)
     return bytes(cipher), bytes(records)
 
 
@@ -67,7 +68,7 @@ def test_encrypt_file_odd_length():
     cipher, key = encrypt_file(bytes([50, 100, 7]))
     assert cipher == bytes([50, 7])
     assert key.plaintext_length == 3
-    assert list(key.records()) == [(205, 155, 1, 2, 0), (248, 248, 1, 1, 0)]
+    assert [key.record(i) for i in range(key.record_count)] == [(205, 155, 1, 2, 0), (248, 248, 1, 1, 0)]
     assert decrypt_file(cipher, key) == bytes([50, 100, 7])
 
 
@@ -166,7 +167,7 @@ def test_block_table_matches_encrypt_block_exhaustively():
         for b in range(256):
             g, rec = encrypt_block(a, b)
             ciphers.append(g)
-            records += rec.to_bytes()
+            records += bytes(rec)
     table_ciphers, table_records = block_table()
     assert table_ciphers.shape == (65536,) and table_records.shape == (65536, 5)
     assert table_ciphers.tobytes() == ciphers
@@ -251,9 +252,9 @@ def test_serialize_parse_round_trip(data):
 
 
 def test_key_file_rejects_inconsistent_payload():
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyFileFormatError):
         KeyFile(2, b"")
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyFileFormatError):
         KeyFile(0, TABLE_RECORD)
 
 
@@ -359,3 +360,34 @@ def test_decrypt_stream_key_trailing_bytes():
     cipher, key = encrypt_file(data)
     with pytest.raises(KeyFileFormatError):
         decrypt_stream(io.BytesIO(cipher), io.BytesIO(key.to_bytes() + b"\x00"), io.BytesIO())
+
+
+# every block once, 131,072 bytes: more than one CHUNK_BLOCKS chunk
+ALL_BLOCKS = np.arange(1 << 16, dtype=">u2").tobytes()
+
+
+def test_decrypt_file_inverts_scalar_encrypt_on_every_block():
+    cipher, records = scalar_encrypt(ALL_BLOCKS)
+    assert decrypt_file(cipher, KeyFile(len(ALL_BLOCKS), records)) == ALL_BLOCKS
+
+
+def test_decrypt_stream_inverts_scalar_encrypt_on_every_block():
+    cipher, records = scalar_encrypt(ALL_BLOCKS)
+    out = io.BytesIO()
+    key = io.BytesIO(header(len(ALL_BLOCKS)) + records)
+    assert decrypt_stream(io.BytesIO(cipher), key, out) == len(ALL_BLOCKS)
+    assert out.getvalue() == ALL_BLOCKS
+
+
+@given(st.binary(min_size=6, max_size=6))
+def test_decrypt_file_agrees_with_decrypt_block_on_any_record(raw):
+    g, record = raw[0], raw[1:]
+    try:
+        want = bytes(decrypt_block(g, KeyRecord(*record)))
+    except MalformedRecordError:
+        want = None
+    try:
+        got = decrypt_file(bytes([g]), KeyFile(2, record))
+    except MalformedRecordError:
+        got = None
+    assert got == want
