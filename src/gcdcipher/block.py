@@ -11,7 +11,7 @@ All operations are pure functions; there is no shared state.
 
 from __future__ import annotations
 
-import math
+from math import gcd  # gcd(0, x) = x and gcd(0, 0) = 0, as the scheme needs
 from typing import NamedTuple
 
 RECORD_SIZE = 5
@@ -32,11 +32,6 @@ class KeyRecord(NamedTuple):
     rp_first: int
     quotient: int
     remainder: int
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, with gcd(0, x) = x and gcd(0, 0) = 0."""
-    return math.gcd(a, b)
 
 
 def zero_weight(x: int) -> int:

@@ -14,16 +14,23 @@ unpaired plaintext byte is paired with itself; decryption drops the
 duplicate using the header's plaintext length.
 
 Streams are processed in fixed-size chunks, so memory stays bounded
-regardless of input size. A block's output depends on that block alone, so
-encryption is a lookup: ``block_table`` holds the cipher byte and key
-record of all 65,536 blocks, built once on first use, and each chunk is
-one gather from it. Tests pin the table exhaustively against the scalar
-``block.encrypt_block``, which stays the definition of the cipher.
+regardless of input size. There is one chunk loop per direction,
+``_encode_stream`` and ``_decode_stream``, and it makes every cipher/key
+consistency check. The in-memory ``encrypt_file`` and ``decrypt_file`` run
+it over ``io.BytesIO`` buffers, so a whole-file ``encrypt_file`` holds its
+outputs (3x the input) plus one chunk.
+
+A block's output depends on that block alone, so encryption is a lookup:
+``block_table`` holds the cipher byte and key record of all 65,536 blocks,
+built once on first use, and each chunk is one gather from it. Tests pin
+the table exhaustively against the scalar ``block.encrypt_block``, which
+stays the definition of the cipher.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -101,20 +108,16 @@ def parse_key_file(raw: bytes) -> KeyFile:
 
 def encrypt_file(plaintext: bytes) -> tuple[bytes, KeyFile]:
     """Encrypt a byte string; returns the cipher bytes and the key file."""
-    data = bytes(plaintext)
-    cipher, records = _encode_blocks(data)
-    return cipher, KeyFile(len(data), records)
+    cipher, records = io.BytesIO(), io.BytesIO()
+    length = _encode_stream(io.BytesIO(plaintext), cipher, records)
+    return cipher.getvalue(), KeyFile(length, records.getvalue())
 
 
 def decrypt_file(cipher: bytes, key: KeyFile) -> bytes:
     """Invert encrypt_file; cipher length must match the key's record count."""
-    cipher = bytes(cipher)
-    if len(cipher) != key.record_count:
-        raise ConsistencyError(
-            f"cipher has {len(cipher)} blocks but key has {key.record_count} records"
-        )
-    plain = _decode_blocks(cipher, key.record_bytes, 0)
-    return plain[: key.plaintext_length].tobytes()
+    out = io.BytesIO()
+    _decode_stream(io.BytesIO(cipher), io.BytesIO(key.record_bytes), key.plaintext_length, out)
+    return out.getvalue()
 
 
 def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> int:
@@ -124,19 +127,7 @@ def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> in
     placeholder length and patched once the input is exhausted.
     """
     key_out.write(_header(0))
-    total = 0
-    chunk_bytes = 2 * CHUNK_BLOCKS
-    while True:
-        data = _read_full(src, chunk_bytes)
-        got = len(data)
-        if not got:
-            break
-        total += got
-        cipher, records = _encode_blocks(data)
-        cipher_out.write(cipher)
-        key_out.write(records)
-        if got < chunk_bytes:
-            break
+    total = _encode_stream(src, cipher_out, key_out)
     key_out.seek(0)
     key_out.write(_header(total))
     return total
@@ -145,6 +136,27 @@ def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> in
 def decrypt_stream(cipher_in: BinaryIO, key_in: BinaryIO, out: BinaryIO) -> int:
     """Decrypt a cipher stream against a key stream; returns bytes written."""
     plaintext_length = _parse_header(_read_full(key_in, HEADER_SIZE))
+    _decode_stream(cipher_in, key_in, plaintext_length, out)
+    return plaintext_length
+
+
+def _encode_stream(src: BinaryIO, cipher_out: BinaryIO, records_out: BinaryIO) -> int:
+    # the one encryption loop; returns the plaintext byte count
+    chunk_bytes = 2 * CHUNK_BLOCKS
+    total = 0
+    while True:
+        data = _read_full(src, chunk_bytes)
+        total += len(data)
+        if data:
+            _encode_blocks(data, cipher_out, records_out)
+        if len(data) < chunk_bytes:
+            return total
+
+
+def _decode_stream(
+    cipher_in: BinaryIO, records_in: BinaryIO, plaintext_length: int, out: BinaryIO
+) -> None:
+    # the one decryption loop, and every cipher/key consistency check
     blocks = block_count(plaintext_length)
     done = 0
     while done < blocks:
@@ -155,7 +167,7 @@ def decrypt_stream(cipher_in: BinaryIO, key_in: BinaryIO, out: BinaryIO) -> int:
                 f"cipher ends after block {done + len(cipher)}, "
                 f"key file implies {blocks} blocks"
             )
-        records = _read_full(key_in, k * RECORD_SIZE)
+        records = _read_full(records_in, k * RECORD_SIZE)
         if len(records) < k * RECORD_SIZE:
             raise KeyFileFormatError(
                 f"key file record payload truncated near block {done + len(records) // RECORD_SIZE}"
@@ -164,12 +176,11 @@ def decrypt_stream(cipher_in: BinaryIO, key_in: BinaryIO, out: BinaryIO) -> int:
         done += k
         if done == blocks and plaintext_length % 2:
             plain = plain[:-1]  # drop the self-paired duplicate
-        out.write(plain.tobytes())
+        out.write(plain)
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
-    if key_in.read(1):
+    if records_in.read(1):
         raise KeyFileFormatError("trailing bytes after the final key record")
-    return plaintext_length
 
 
 def _header(plaintext_length: int) -> bytes:
@@ -218,58 +229,48 @@ def block_table() -> tuple[np.ndarray, np.ndarray]:
     return g, records
 
 
-def _encode_blocks(data: bytes) -> tuple[bytes, bytes]:
+def _encode_blocks(data: bytes, cipher_out: BinaryIO, records_out: BinaryIO) -> None:
+    # one chunk: gather its cipher bytes and records from the block table and
+    # write them as flat uint8 arrays, so len() is the byte count
     if len(data) % 2:
         data += data[-1:]  # self-pair the trailing byte
     cipher, records = block_table()
-    index = np.frombuffer(data, dtype=">u2")
-    out_cipher = np.empty(len(index), dtype=np.uint8)
-    out_records = np.empty((len(index), RECORD_SIZE), dtype=np.uint8)
-    # take() casts its index to intp, 8 bytes a block; a whole in-memory
-    # file at once would allocate 4x the plaintext, so gather per chunk.
-    # A 16-bit index is always in range, so "clip" never clips; it only
-    # spares the bounds check and the buffered copy "raise" makes with out=.
-    for start in range(0, len(index), CHUNK_BLOCKS):
-        stop = start + CHUNK_BLOCKS
-        part = index[start:stop].astype(np.intp)
-        cipher.take(part, out=out_cipher[start:stop], mode="clip")
-        records.take(part, axis=0, out=out_records[start:stop], mode="clip")
-        del part  # free the intp index before tobytes() copies the outputs
-    return out_cipher.tobytes(), out_records.tobytes()
+    # a 16-bit index is always in range, so "clip" never clips; it only
+    # spares the bounds check
+    index = np.frombuffer(data, dtype=">u2").astype(np.intp)
+    cipher_out.write(cipher.take(index, mode="clip"))
+    chosen = records.take(index, axis=0, mode="clip").reshape(-1)
+    del index  # 8 bytes a block: free it before the write copies the records
+    records_out.write(chosen)
 
 
 def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> np.ndarray:
-    # returns the 2 * len(cipher) plaintext bytes as an array, so callers can
-    # drop a self-paired tail byte before copying them out
+    # one chunk: returns its 2 * len(cipher) plaintext bytes as a flat array,
+    # so the caller can drop a self-paired tail byte before writing them
     g = np.frombuffer(cipher, dtype=np.uint8)
     recs = np.frombuffer(records, dtype=np.uint8).reshape(-1, RECORD_SIZE)
+    rp_first = recs[:, 2]
+    # widen inside the ufuncs: casting the record columns first costs 12 bytes a block
+    first = np.multiply(rp_first, g, dtype=np.uint16)  # at most 255 * 255
+    second = np.multiply(rp_first, recs[:, 3], dtype=np.uint32)
+    second += recs[:, 4]
+    second *= g
+    bad = (first > 255) | (second > 255)
+    if bad.any():
+        index = first_block + int(np.argmax(bad))
+        raise CorruptRecordError(f"key record {index} reconstructs a value above 255", index)
     plain = np.empty((len(g), 2), dtype=np.uint8)
-    # widen inside the ufuncs, chunk by chunk: casting whole record columns
-    # of an in-memory file up front would allocate 12 bytes a block
-    for start in range(0, len(g), CHUNK_BLOCKS):
-        stop = start + CHUNK_BLOCKS
-        g_part, rp_first = g[start:stop], recs[start:stop, 2]
-        first = np.multiply(rp_first, g_part, dtype=np.uint16)  # at most 255 * 255
-        second = np.multiply(rp_first, recs[start:stop, 3], dtype=np.uint32)
-        second += recs[start:stop, 4]
-        second *= g_part
-        bad = (first > 255) | (second > 255)
-        if bad.any():
-            index = first_block + start + int(np.argmax(bad))
-            raise CorruptRecordError(
-                f"key record {index} reconstructs a value above 255", index
-            )
-        plain[start:stop, 0] = first
-        plain[start:stop, 1] = second
+    plain[:, 0] = first
+    plain[:, 1] = second
     return plain.reshape(-1)
 
 
 def _read_full(stream: BinaryIO, n: int) -> bytes:
     """Read exactly n bytes unless the stream ends first."""
-    buf = bytearray()
-    while len(buf) < n:
-        piece = stream.read(n - len(buf))
-        if not piece:
-            break
+    data = stream.read(n)
+    if len(data) == n or not data:
+        return data
+    buf = bytearray(data)  # a short read: keep reading until n or the end
+    while len(buf) < n and (piece := stream.read(n - len(buf))):
         buf += piece
     return bytes(buf)

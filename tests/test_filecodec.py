@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,9 +265,10 @@ def test_key_file_record_index_bounds():
         key.record(1)
 
 
-def test_decrypt_file_count_mismatch():
+@pytest.mark.parametrize("cipher", [b"\x05\x05", b""], ids=["too-long", "too-short"])
+def test_decrypt_file_count_mismatch(cipher):
     with pytest.raises(ConsistencyError):
-        decrypt_file(b"\x05\x05", KeyFile(2, TABLE_RECORD))
+        decrypt_file(cipher, KeyFile(2, TABLE_RECORD))
 
 
 def test_decrypt_file_corrupt_record_reports_block_index():
@@ -318,6 +320,34 @@ def test_decrypt_stream_matches_decrypt_file(monkeypatch):
     out = io.BytesIO()
     n = decrypt_stream(io.BytesIO(cipher), io.BytesIO(key.to_bytes()), out)
     assert n == len(data)
+    assert out.getvalue() == data
+
+
+class TrickleReader(io.RawIOBase):
+    """Raw stream that returns at most 7 bytes per read, as a pipe may."""
+
+    def __init__(self, data: bytes):
+        self._src = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        piece = self._src.read(min(len(buf), 7))
+        buf[: len(piece)] = piece
+        return len(piece)
+
+
+def test_streams_gather_short_reads_into_whole_chunks(monkeypatch):
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = bytes(range(256)) * 2 + b"\x2a"  # odd, spans many chunks
+    cipher, key = encrypt_file(data)
+    ct, key_out = io.BytesIO(), io.BytesIO()
+    assert encrypt_stream(TrickleReader(data), ct, key_out) == len(data)
+    assert ct.getvalue() == cipher
+    assert key_out.getvalue() == key.to_bytes()
+    out = io.BytesIO()
+    assert decrypt_stream(TrickleReader(cipher), TrickleReader(key.to_bytes()), out) == len(data)
     assert out.getvalue() == data
 
 
@@ -391,3 +421,33 @@ def test_decrypt_file_agrees_with_decrypt_block_on_any_record(raw):
     except MalformedRecordError:
         got = None
     assert got == want
+
+
+# 4 MiB + 1 byte: many chunks and a self-paired tail
+WHOLE_FILE = np.random.default_rng(11).integers(0, 256, 4 * 2**20 + 1, dtype=np.uint8).tobytes()
+
+
+def traced_peak(fn, *args):
+    """Result of fn(*args) and the most memory it held beyond what existed before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_file_encrypt_holds_its_outputs_plus_one_chunk():
+    block_table()  # built once per process, not part of one call's cost
+    (cipher, key), peak = traced_peak(encrypt_file, WHOLE_FILE)
+    assert (len(cipher), key.plaintext_length) == (block_count(len(WHOLE_FILE)), len(WHOLE_FILE))
+    assert peak < 3.5 * len(WHOLE_FILE)  # the outputs alone are 3x
+
+
+def test_whole_file_decrypt_holds_its_output_plus_one_chunk():
+    cipher, key = encrypt_file(WHOLE_FILE)
+    plain, peak = traced_peak(decrypt_file, cipher, key)
+    assert plain == WHOLE_FILE
+    assert peak < 1.5 * len(WHOLE_FILE)
