@@ -8,10 +8,16 @@ wall-clock codec timing, and the key-file leakage audit.
 ``2 * filecodec.CHUNK_BLOCKS`` bytes, so their memory does not grow with
 the file. The results are exact: a block's output depends on that block
 alone, and frequency counts and bit differences add up chunk by chunk.
+
+``avalanche`` encrypts nothing. The block domain is only 2^16, so it looks
+up both encryptions of each block, of the original and of the flipped
+plaintext, in a table of every block's output built once from
+``filecodec.block_table``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -67,10 +73,17 @@ def chi_square(source, encrypted) -> tuple[float, int]:
 
 
 def hamming_distance(a: bytes, b: bytes) -> int:
-    """Number of differing bits between two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    bits = np.bitwise_xor(np.frombuffer(a, dtype=np.uint8), np.frombuffer(b, dtype=np.uint8))
+    """Number of differing bits between two buffers of equal byte length.
+
+    Any contiguous buffer is compared as its bytes, so a numpy array of
+    any dtype counts its ``nbytes``, not its element count.
+    """
+    a_bytes, b_bytes = memoryview(a).nbytes, memoryview(b).nbytes
+    if a_bytes != b_bytes:
+        raise ValueError(f"length mismatch: {a_bytes} vs {b_bytes} bytes")
+    # whole 64-bit words when the length allows: a third of the time of bytes
+    word = np.uint64 if a_bytes % 8 == 0 else np.uint8
+    bits = np.bitwise_xor(np.frombuffer(a, dtype=word), np.frombuffer(b, dtype=word))
     np.bitwise_count(bits, out=bits)
     return int(bits.sum(dtype=np.int64))
 
@@ -81,13 +94,29 @@ def _chunks(data: memoryview) -> Iterator[memoryview]:
         yield data[start : start + size]
 
 
+@functools.cache
+def _output_table() -> np.ndarray:
+    # one uint64 per block: its cipher byte, its 5-byte record and 2 zero pad
+    # bytes, which XOR to 0 and so add no bits to a Hamming distance; built
+    # on first use and read-only, since every later avalanche reads it
+    cipher, records = filecodec.block_table()
+    packed = np.zeros((len(cipher), 8), dtype=np.uint8)
+    packed[:, 0] = cipher
+    packed[:, 1 : 1 + RECORD_SIZE] = records
+    table = packed.view(np.uint64).reshape(-1)
+    table.setflags(write=False)
+    return table
+
+
 def _changed_bits(chunk: memoryview, flip_mask: int) -> int:
     # a function of its own, so one chunk's outputs are freed before the next
-    mutated = (np.frombuffer(chunk, dtype=np.uint8) ^ np.uint8(flip_mask)).tobytes()
-    base_cipher, base_key = encrypt_file(chunk)
-    mut_cipher, mut_key = encrypt_file(mutated)
-    return (hamming_distance(base_cipher, mut_cipher)
-            + hamming_distance(base_key.record_bytes, mut_key.record_bytes))
+    table = _output_table()
+    index = filecodec._block_index(chunk)
+    base = table.take(index)
+    index ^= flip_mask << 8 | flip_mask  # the blocks of the flipped plaintext
+    flipped = table.take(index)
+    del index  # 8 bytes a block: free it before the distance's XOR buffer
+    return hamming_distance(base, flipped)
 
 
 def avalanche(plaintext: bytes, flip_mask: int = FLIP_MASK) -> float:
@@ -147,7 +176,7 @@ def analyze_file(plaintext: bytes) -> AnalysisReport:
         recovered = decrypt_file(cipher, key)
         decrypt_time += time.perf_counter() - start
 
-        if recovered != chunk:
+        if recovered != bytes(chunk):  # bytes with bytes: a memoryview compares per element
             raise RuntimeError("round-trip mismatch: decryption did not restore the input")
         source_counts += frequency_table(chunk)
         cipher_counts += frequency_table(cipher)

@@ -229,15 +229,24 @@ def block_table() -> tuple[np.ndarray, np.ndarray]:
     return g, records
 
 
+def _block_index(data: bytes) -> np.ndarray:
+    # the block_table index a << 8 | b of each block, as intp so take() need
+    # not cast it; a trailing unpaired byte is paired with itself
+    pairs = len(data) // 2
+    index = np.empty(block_count(len(data)), dtype=np.intp)
+    index[:pairs] = np.frombuffer(data, dtype=">u2", count=pairs)
+    if len(data) % 2:
+        index[pairs] = data[-1] * 0x101
+    return index
+
+
 def _encode_blocks(data: bytes, cipher_out: BinaryIO, records_out: BinaryIO) -> None:
     # one chunk: gather its cipher bytes and records from the block table and
     # write them as flat uint8 arrays, so len() is the byte count
-    if len(data) % 2:
-        data += data[-1:]  # self-pair the trailing byte
     cipher, records = block_table()
     # a 16-bit index is always in range, so "clip" never clips; it only
     # spares the bounds check
-    index = np.frombuffer(data, dtype=">u2").astype(np.intp)
+    index = _block_index(data)
     cipher_out.write(cipher.take(index, mode="clip"))
     chosen = records.take(index, axis=0, mode="clip").reshape(-1)
     del index  # 8 bytes a block: free it before the write copies the records

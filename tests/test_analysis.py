@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gcdcipher import analysis
 from gcdcipher.analysis import (
     analyze_file,
     avalanche,
@@ -99,6 +100,16 @@ def test_hamming_distance():
         hamming_distance(b"ab", b"a")
 
 
+def test_hamming_distance_compares_byte_lengths():
+    words = np.array([0, 0xFFFF], dtype=np.uint64)
+    assert hamming_distance(words, bytes(16)) == 16
+    assert hamming_distance(words, words.tobytes()) == 0
+    assert hamming_distance(words, words.view(np.uint8)) == 0
+    # equal element counts, unequal byte counts
+    with pytest.raises(ValueError, match="length mismatch"):
+        hamming_distance(words, np.zeros(2, dtype=np.uint8))
+
+
 @given(st.data())
 def test_hamming_distance_matches_bit_count(data):
     a = data.draw(st.binary(max_size=100))
@@ -124,6 +135,58 @@ def avalanche_oracle(data: bytes, mask: int) -> float:
     a, b = streams(data), streams(mutated)
     changed = sum((x ^ y).bit_count() for x, y in zip(a, b))
     return 100.0 * changed / (8 * len(a))
+
+
+def two_encryption_avalanche(data: bytes, mask: int) -> float:
+    """The definition through the file codec: encrypt the input and its
+    flipped copy with encrypt_file, then count the output bits that differ."""
+    flipped = (np.frombuffer(data, dtype=np.uint8) ^ np.uint8(mask)).tobytes()
+    (cipher, key), (flipped_cipher, flipped_key) = encrypt_file(data), encrypt_file(flipped)
+    base = np.frombuffer(cipher + key.record_bytes, dtype=np.uint8)
+    other = np.frombuffer(flipped_cipher + flipped_key.record_bytes, dtype=np.uint8)
+    return 100.0 * int(np.unpackbits(base ^ other).sum()) / (8 * len(base))
+
+
+def test_output_table_packs_the_block_table_exhaustively():
+    table = analysis._output_table()
+    ciphers, records = block_table()
+    assert table.shape == (1 << 16,) and table.dtype == np.uint64
+    rows = table.view(np.uint8).reshape(-1, 8)
+    assert np.array_equal(rows[:, 0], ciphers)
+    assert np.array_equal(rows[:, 1:6], records)
+    assert not rows[:, 6:].any()  # the pad bytes, which must XOR to 0
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+    assert analysis._output_table() is table  # built once, shared by every caller
+
+
+def test_avalanche_equals_two_encryptions_for_every_block_and_mask():
+    every_block = np.arange(1 << 16, dtype=">u2").tobytes()
+    for mask in range(256):
+        assert avalanche(every_block, flip_mask=mask) == two_encryption_avalanche(every_block, mask)
+
+
+def test_analysis_encrypts_each_chunk_once(monkeypatch):
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    calls = []
+
+    def recording_encrypt_file(plaintext):
+        calls.append(len(plaintext))
+        return encrypt_file(plaintext)
+
+    monkeypatch.setattr("gcdcipher.analysis.encrypt_file", recording_encrypt_file)
+    data = random.Random(5).randbytes(5 * 16 - 1)  # five 16-byte chunks, the last one odd
+    avalanche(data)
+    assert calls == []
+    analyze_file(data)
+    assert calls == [16, 16, 16, 16, 15]
+
+
+def test_analyze_file_round_trip_mismatch_raises(monkeypatch):
+    monkeypatch.setattr("gcdcipher.analysis.decrypt_file", lambda cipher, key: b"\x00" * 4)
+    with pytest.raises(RuntimeError, match="round-trip mismatch"):
+        analyze_file(b"abcd")
 
 
 def test_avalanche_golden_pair():
@@ -256,7 +319,9 @@ def test_analyze_file_is_exact_across_chunk_seams(monkeypatch, length):
 def test_analyze_file_memory_does_not_grow_with_the_file():
     """Beyond the input itself, analysis holds a few chunks, not copies of the file."""
     data = np.random.default_rng(8).integers(0, 256, 8 << 20, dtype=np.uint8).tobytes()
-    block_table()  # built once per process; not part of any one analysis
+    # both tables are built once per process; not part of any one analysis
+    block_table()
+    analysis._output_table()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
