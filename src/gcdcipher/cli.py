@@ -1,14 +1,22 @@
-"""Command-line front end: encrypt, decrypt, audit, corpus, selftest."""
+"""Command-line front end: encrypt, decrypt, audit, corpus, selftest.
+
+An output that is the same file as an input or another output is refused
+before anything is opened. A failed command removes each regular file it
+opened for output, and never a path it did not open, a device or a pipe.
+"""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import io
 import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import AnalysisReport, analyze_file, keyfile_leakage_audit
 from .block import MalformedRecordError, decrypt_block, encrypt_block, zero_weight
@@ -16,9 +24,11 @@ from .filecodec import (
     HEADER_SIZE,
     RECORD_SIZE,
     ConsistencyError,
+    KeyFile,
     KeyFileFormatError,
     block_count,
     block_table,
+    decrypt_file,
     decrypt_stream,
     encrypt_stream,
     parse_key_file,
@@ -29,17 +39,18 @@ EXIT_IO = 1
 EXIT_FORMAT = 2
 EXIT_CORRUPT = 3
 
-CSV_COLUMNS = [
-    "file_name",
-    "source_size_bytes",
-    "cipher_size_bytes",
-    "encrypt_time_s",
-    "decrypt_time_s",
-    "chi_square",
-    "degrees_of_freedom",
-    "avalanche_percent",
-    "compression_percent",
+# the corpus report after its file_name column: (column, AnalysisReport field, format)
+_REPORT_COLUMNS = [
+    ("source_size_bytes", "source_size", ""),
+    ("cipher_size_bytes", "cipher_size", ""),
+    ("encrypt_time_s", "encrypt_time", ".3f"),
+    ("decrypt_time_s", "decrypt_time", ".3f"),
+    ("chi_square", "chi_square", ".2f"),
+    ("degrees_of_freedom", "degrees_of_freedom", ""),
+    ("avalanche_percent", "avalanche_percent", ".2f"),
+    ("compression_percent", "compression_percent", ".1f"),
 ]
+CSV_COLUMNS = ["file_name"] + [column for column, _, _ in _REPORT_COLUMNS]
 
 # golden block vectors: (plain pair, cipher byte, key record fields)
 GOLDEN_VECTORS = [
@@ -82,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="analyze every file in a directory and write a CSV report")
     p.add_argument("dir", help="directory of input files")
     p.add_argument("--csv", default="corpus_report.csv", help="CSV output path")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="number of worker processes, at most one per file and per CPU")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, at least 1; no more start than there are files or CPUs")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("selftest", help="run the built-in correctness checks")
@@ -92,43 +103,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _same_file(a: Path, b: Path) -> bool:
     if a.exists() and b.exists():
         return os.path.samefile(a, b)
     return a.resolve() == b.resolve()
 
 
-def _refuse_clobber(inputs: list[Path], outputs: list[Path]) -> None:
-    """Raise before anything is opened for writing if an output is the same
-    file as an input or as another output."""
-    for i, out in enumerate(outputs):
-        for other in inputs + outputs[:i]:
+@contextlib.contextmanager
+def _outputs(inputs: list[Path], *paths: Path):
+    """Refuse, open and on failure remove the output paths as the module
+    docstring states; yields one binary write handle per path."""
+    for i, out in enumerate(paths):
+        for other in [*inputs, *paths[:i]]:
             if _same_file(out, other):
                 raise OSError(f"refusing to write {out}: it is the same file as {other}")
-
-
-@contextlib.contextmanager
-def _removed_on_failure(*paths: Path):
-    """Delete the outputs if the body raises, so no partial file is left."""
+    handles = []
     try:
-        yield
-    except BaseException as exc:
-        for path in paths:
-            # an error naming the path came from opening it: nothing of ours is there
-            if getattr(exc, "filename", None) != str(path):
+        with contextlib.ExitStack() as stack:
+            for path in paths:
+                handles.append(stack.enter_context(open(path, "wb")))
+            yield handles
+    except BaseException:
+        for path in paths[: len(handles)]:
+            if path.is_file():  # also true for a symlink to a regular file: the link goes
                 path.unlink(missing_ok=True)
         raise
 
 
 def cmd_encrypt(args) -> int:
     src_path = Path(args.input)
-    ct_path = Path(args.ct) if args.ct else src_path.with_name("ct_" + src_path.name)
-    key_path = Path(args.key) if args.key else src_path.with_name("key_" + src_path.name)
-    _refuse_clobber([src_path], [ct_path, key_path])
+    # parent / name, as with_name raises for "." and "/"; opening those as input fails first
+    ct_path = Path(args.ct or src_path.parent / ("ct_" + src_path.name))
+    key_path = Path(args.key or src_path.parent / ("key_" + src_path.name))
     start = time.perf_counter()
-    with open(src_path, "rb") as src, _removed_on_failure(ct_path, key_path):
-        with open(ct_path, "wb") as ct, open(key_path, "wb") as key:
-            length = encrypt_stream(src, ct, key)
+    with open(src_path, "rb") as src, _outputs([src_path], ct_path, key_path) as (ct, key):
+        length = encrypt_stream(src, ct, key)
     elapsed = time.perf_counter() - start
     blocks = block_count(length)
     print(
@@ -141,41 +156,30 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     ct_path = Path(args.ct)
     key_path = Path(args.key)
-    if args.out:
-        out_path = Path(args.out)
-    else:
-        name = ct_path.name
-        if name.startswith("ct_"):
-            name = name[3:]
-        out_path = ct_path.with_name("pt_" + name)
-    _refuse_clobber([ct_path, key_path], [out_path])
+    out_path = Path(args.out or ct_path.parent / ("pt_" + ct_path.name.removeprefix("ct_")))
     start = time.perf_counter()
-    with open(ct_path, "rb") as ct, open(key_path, "rb") as key, _removed_on_failure(out_path):
-        with open(out_path, "wb") as out:
-            length = decrypt_stream(ct, key, out)
+    with (open(ct_path, "rb") as ct, open(key_path, "rb") as key,
+          _outputs([ct_path, key_path], out_path) as (out,)):
+        length = decrypt_stream(ct, key, out)
     elapsed = time.perf_counter() - start
     print(f"{ct_path} + {key_path} -> {out_path} ({length} bytes) in {elapsed:.3f} s")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
+    key_path = Path(args.key)
+    with _outputs([key_path], *([Path(args.out)] if args.out else [])) as handles:
+        recovered = keyfile_leakage_audit(parse_key_file(key_path.read_bytes()))
+        print(
+            "warning: the key file leaks the plaintext; its zero-weight fields are "
+            "bitwise complements of the plaintext bytes",
+            file=sys.stderr,
+        )
+        out = handles[0] if handles else sys.stdout.buffer
+        out.write(recovered)
+        out.flush()
     if args.out:
-        _refuse_clobber([Path(args.key)], [Path(args.out)])
-    key = parse_key_file(Path(args.key).read_bytes())
-    recovered = keyfile_leakage_audit(key)
-    print(
-        "warning: the key file leaks the plaintext; its zero-weight fields are "
-        "bitwise complements of the plaintext bytes",
-        file=sys.stderr,
-    )
-    if args.out:
-        out_path = Path(args.out)
-        with _removed_on_failure(out_path):
-            out_path.write_bytes(recovered)
         print(f"recovered {len(recovered)} bytes from {args.key} -> {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.buffer.write(recovered)
-        sys.stdout.buffer.flush()
     return EXIT_OK
 
 
@@ -189,41 +193,31 @@ def _corpus_entry(path: Path) -> tuple[str, AnalysisReport | None, str | None]:
 
 
 def _corpus_row(name: str, report: AnalysisReport | None) -> list[str]:
-    if report is None:
-        return [name] + [""] * (len(CSV_COLUMNS) - 1)
-    return [
-        name,
-        str(report.source_size),
-        str(report.cipher_size),
-        f"{report.encrypt_time:.3f}",
-        f"{report.decrypt_time:.3f}",
-        f"{report.chi_square:.2f}",
-        str(report.degrees_of_freedom),
-        f"{report.avalanche_percent:.2f}",
-        f"{report.compression_percent:.1f}",
+    return [name] + [
+        "" if report is None else format(getattr(report, field), spec)
+        for _, field, spec in _REPORT_COLUMNS
     ]
 
 
 def cmd_corpus(args) -> int:
-    directory = Path(args.dir)
-    if not directory.is_dir():
-        raise NotADirectoryError(f"not a directory: {directory}")
-    files = sorted(p for p in directory.iterdir() if p.is_file())
+    # iterdir raises OSError for a missing directory or one that is a file
+    files = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
     csv_path = Path(args.csv)
-    _refuse_clobber(files, [csv_path])
-    # a worker beyond the files or the CPUs would only start and sit idle
-    jobs = min(args.jobs, len(files), os.cpu_count() or 1)
-    if jobs > 1:
-        # imported here: the process pool's modules slow every command's start
-        from concurrent.futures import ProcessPoolExecutor
+    # opened first, so a refused or unopenable report stops the run before any
+    # analysis; written last, so no forked worker inherits buffered rows
+    with _outputs(files, csv_path) as (raw,), io.TextIOWrapper(raw, newline="") as handle:
+        # a worker beyond the files or the CPUs would only start and sit idle
+        jobs = min(args.jobs, len(files), os.cpu_count() or 1)
+        if jobs > 1:
+            # imported here: the process pool's modules slow every command's start
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_corpus_entry, files))
-    else:
-        results = [_corpus_entry(p) for p in files]
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_corpus_entry, files))
+        else:
+            results = [_corpus_entry(p) for p in files]
 
-    failures = 0
-    with _removed_on_failure(csv_path), open(csv_path, "w", newline="") as handle:
+        failures = 0
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for name, report, error in results:
@@ -245,8 +239,6 @@ def cmd_selftest(args=None) -> int:
                 f"golden vector ({x},{y}): got cipher {cipher}, key {tuple(record)}; "
                 f"want {want_cipher}, {want_record}"
             )
-        elif decrypt_block(cipher, record) != (x, y):
-            failures.append(f"golden vector ({x},{y}): decrypt did not invert encrypt")
     print(f"golden vectors: {'OK' if not failures else 'FAIL'}")
 
     complement_bad = [x for x in range(256) if zero_weight(x) != 255 - x]
@@ -276,12 +268,22 @@ def cmd_selftest(args=None) -> int:
         failures.append(f"round trip fails first at {first_bad}")
 
     # the encrypt command reads this table, not encrypt_block
+    ciphers, records = bytes(block_ciphers), bytes(block_records)
     table_ciphers, table_records = block_table()
-    table_ok = (table_ciphers.tobytes() == bytes(block_ciphers)
-                and table_records.tobytes() == bytes(block_records))
+    table_ok = table_ciphers.tobytes() == ciphers and table_records.tobytes() == records
     print(f"block table matches encrypt_block: {'OK' if table_ok else 'FAIL'}")
     if not table_ok:
         failures.append("block table disagrees with encrypt_block")
+
+    # the decrypt command runs the decode kernel, not decrypt_block
+    every_block = np.arange(1 << 16, dtype=">u2").tobytes()  # a << 8 | b big-endian is (a, b)
+    try:
+        decode_ok = decrypt_file(ciphers, KeyFile(len(every_block), records)) == every_block
+    except MalformedRecordError:
+        decode_ok = False
+    print(f"decode kernel inverts encrypt_block: {'OK' if decode_ok else 'FAIL'}")
+    if not decode_ok:
+        failures.append("decode kernel does not invert encrypt_block")
 
     if failures:
         print(f"selftest: FAIL ({failures[0]})")
@@ -294,15 +296,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MalformedRecordError as exc:
+    except (MalformedRecordError, KeyFileFormatError, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
-    except (KeyFileFormatError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, MalformedRecordError):
+            return EXIT_CORRUPT
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_FORMAT
 
 
 if __name__ == "__main__":

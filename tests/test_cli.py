@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from gcdcipher import cli
-from gcdcipher.filecodec import MAGIC, VERSION, encrypt_file
+from gcdcipher import cli, filecodec
+from gcdcipher.filecodec import MAGIC, VERSION, CorruptRecordError, encrypt_file
 
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
@@ -92,6 +92,49 @@ def test_encrypt_keeps_an_existing_output_it_could_not_open(tmp_path, monkeypatc
     assert run_cli(["encrypt", str(src), "--ct", str(ct), "--key", str(key)]) == 1
     assert key.read_bytes() == b"precious"  # never opened, so left alone
     assert not ct.exists()  # opened and truncated, so removed
+
+
+def test_encrypt_keeps_an_existing_key_when_the_cipher_path_is_a_directory(tmp_path):
+    src, ct_dir, key = tmp_path / "a.txt", tmp_path / "ct_dir", tmp_path / "key_a.txt"
+    src.write_bytes(b"hi")
+    ct_dir.mkdir()
+    key.write_bytes(b"precious")
+    assert run_cli(["encrypt", str(src), "--ct", str(ct_dir), "--key", str(key)]) == 1
+    assert key.read_bytes() == b"precious"  # opening the cipher failed first: never opened
+    assert ct_dir.is_dir()
+
+
+@pytest.mark.parametrize("command, exit_code", [("decrypt", 3), ("encrypt", 1)])
+def test_failed_command_keeps_a_fifo_output(tmp_path, command, exit_code):
+    data = bytes([50, 100]) * 4
+    cipher, key = encrypt_file(data)
+    raw = bytearray(key.to_bytes())
+    raw[13 + 2 * 5 + 2] = 200  # block 2: rp_first 200 * cipher 50 overflows
+    src, ct, key_path, new_ct, fifo = (tmp_path / n for n in ("in", "ct", "key", "new_ct", "fifo"))
+    src.write_bytes(data)
+    ct.write_bytes(cipher)
+    key_path.write_bytes(bytes(raw))
+    os.mkfifo(fifo)
+    argv = {
+        "decrypt": ["decrypt", ct, key_path, "--out", fifo],  # the corrupt record
+        "encrypt": ["encrypt", src, "--ct", new_ct, "--key", fifo],  # the header seek
+    }[command]
+    # an open read end lets the command open the FIFO for writing without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(list(map(str, argv))) == exit_code
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo()
+    assert not new_ct.exists()  # a regular file it opened is still removed
+
+
+@pytest.mark.parametrize("argv", [["encrypt", "."], ["encrypt", "/"], ["decrypt", ".", "key"]])
+def test_input_without_a_name_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_encrypt_refuses_cipher_over_input(tmp_path, capsys):
@@ -291,6 +334,15 @@ def test_corpus_clamps_jobs(tmp_path, monkeypatch, files, jobs, cpus, pool_size)
     assert len(read_rows(csv_path)) == files + 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_corpus_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    directory = make_corpus(tmp_path, count=2)
+    csv_path = tmp_path / "report.csv"
+    assert run_cli(["corpus", str(directory), "--csv", str(csv_path), "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_corpus_refuses_report_over_an_input(tmp_path):
     directory = make_corpus(tmp_path, count=2)
     victim = sorted(directory.iterdir())[0]
@@ -328,6 +380,24 @@ def test_selftest_catches_table_mismatch(monkeypatch, capsys):
     assert run_cli(["selftest"]) != 0
     out = capsys.readouterr().out
     assert "block table matches encrypt_block: FAIL" in out
+    assert "65536/65536 blocks OK" in out  # the scalar round trip alone passes
+
+
+@pytest.mark.parametrize("fault", ["wrong byte", "raises"])
+def test_selftest_catches_a_broken_decode_kernel(monkeypatch, capsys, fault):
+    real = filecodec._decode_blocks
+
+    def broken(cipher, records, first_block):
+        plain = real(cipher, records, first_block)
+        if fault == "raises":
+            raise CorruptRecordError("broken kernel", first_block)
+        plain[-1] ^= 1
+        return plain
+
+    monkeypatch.setattr(filecodec, "_decode_blocks", broken)
+    assert run_cli(["selftest"]) != 0
+    out = capsys.readouterr().out
+    assert "decode kernel inverts encrypt_block: FAIL" in out
     assert "65536/65536 blocks OK" in out  # the scalar round trip alone passes
 
 
