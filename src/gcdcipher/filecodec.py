@@ -37,7 +37,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .block import RECORD_SIZE, KeyRecord, MalformedRecordError
+from .block import RECORD_SIZE, MalformedRecordError
 
 MAGIC = b"GCDK"
 VERSION = 1
@@ -73,7 +73,7 @@ class KeyFile:
     """Parsed key file: the plaintext length plus the raw record payload.
 
     Records are kept as bytes rather than objects so multi-megabyte keys
-    stay cheap; use ``record`` for structured access.
+    stay cheap.
     """
 
     plaintext_length: int
@@ -86,16 +86,6 @@ class KeyFile:
                 f"plaintext length {self.plaintext_length} implies a {expected}-byte "
                 f"record payload, got {len(self.record_bytes)} bytes"
             )
-
-    @property
-    def record_count(self) -> int:
-        return len(self.record_bytes) // RECORD_SIZE
-
-    def record(self, index: int) -> KeyRecord:
-        if not 0 <= index < self.record_count:
-            raise IndexError(f"record index {index} out of range")
-        offset = index * RECORD_SIZE
-        return KeyRecord(*self.record_bytes[offset : offset + RECORD_SIZE])
 
     def to_bytes(self) -> bytes:
         return _header(self.plaintext_length) + self.record_bytes

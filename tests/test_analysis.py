@@ -227,6 +227,9 @@ def test_avalanche_deterministic():
 def test_avalanche_empty_rejected():
     with pytest.raises(ValueError):
         avalanche(b"")
+    for mask in (256, -1):  # nor is it defined for a mask that is not one byte
+        with pytest.raises(ValueError, match="flip mask out of range"):
+            avalanche(b"ab", flip_mask=mask)
 
 
 def test_leakage_audit_golden_record():

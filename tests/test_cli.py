@@ -361,6 +361,17 @@ def test_corpus_rerun_refuses_its_own_report_inside_the_directory(tmp_path):
     assert report.read_bytes() == before
 
 
+def test_corpus_writes_a_name_that_is_not_utf8_back_as_its_bytes(tmp_path):
+    directory = make_corpus(tmp_path, count=1)
+    try:
+        (directory / os.fsdecode(b"bad\xffname")).write_bytes(b"payload")
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    report = tmp_path / "report.csv"
+    assert run_cli(["corpus", str(directory), "--csv", str(report)]) == 0
+    assert b"\nbad\xffname," in report.read_bytes()
+
+
 def test_corpus_missing_directory(tmp_path):
     assert run_cli(["corpus", str(tmp_path / "nope"), "--csv", str(tmp_path / "r.csv")]) == 1
 
@@ -373,10 +384,10 @@ def test_selftest_passes(capsys):
 
 
 def test_selftest_catches_table_mismatch(monkeypatch, capsys):
-    ciphers, records = cli.block_table()
+    ciphers, records = filecodec.block_table()
     broken = ciphers.copy()
     broken[105 << 8 | 110] = 1
-    monkeypatch.setattr("gcdcipher.cli.block_table", lambda: (broken, records))
+    monkeypatch.setattr("gcdcipher.filecodec.block_table", lambda: (broken, records))
     assert run_cli(["selftest"]) != 0
     out = capsys.readouterr().out
     assert "block table matches encrypt_block: FAIL" in out
@@ -399,6 +410,35 @@ def test_selftest_catches_a_broken_decode_kernel(monkeypatch, capsys, fault):
     out = capsys.readouterr().out
     assert "decode kernel inverts encrypt_block: FAIL" in out
     assert "65536/65536 blocks OK" in out  # the scalar round trip alone passes
+
+
+REAL_BLOCK_INDEX = filecodec._block_index
+
+
+def _swapped_block_index(data):
+    index = REAL_BLOCK_INDEX(data)
+    return (index & 0xFF) << 8 | index >> 8  # the block (a, b) indexed as (b, a)
+
+
+@pytest.mark.parametrize(
+    "target, fault, line",
+    [
+        ("gcdcipher.filecodec._block_index", _swapped_block_index,
+         "block table matches encrypt_block: FAIL"),
+        ("gcdcipher.cli.decrypt_block", lambda cipher, record: (0, 1),
+         "exhaustive round trip: 1/65536 blocks FAIL"),
+        ("gcdcipher.cli.zero_weight", lambda x: 255 - x if x else 0,
+         "complement identity: 255/256 FAIL"),
+    ],
+    ids=["swapped-block-index", "wrong-decrypt_block", "broken-zero_weight"],
+)
+def test_selftest_names_the_failing_check(monkeypatch, capsys, target, fault, line):
+    monkeypatch.setattr(target, fault)
+    assert run_cli(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert line in out
+    assert out.count("FAIL") == 2  # the failing check and the verdict
+    assert f"selftest: FAIL ({line.split(':')[0]}" in out  # named by the text before its colon
 
 
 def test_selftest_catches_broken_gcd(monkeypatch, capsys):

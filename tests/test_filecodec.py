@@ -61,7 +61,7 @@ def test_encrypt_file_empty():
     cipher, key = encrypt_file(b"")
     assert cipher == b""
     assert key.plaintext_length == 0
-    assert key.record_count == 0
+    assert key.record_bytes == b""
     assert key.to_bytes() == header(0)
 
 
@@ -69,7 +69,7 @@ def test_encrypt_file_odd_length():
     cipher, key = encrypt_file(bytes([50, 100, 7]))
     assert cipher == bytes([50, 7])
     assert key.plaintext_length == 3
-    assert [key.record(i) for i in range(key.record_count)] == [(205, 155, 1, 2, 0), (248, 248, 1, 1, 0)]
+    assert key.record_bytes == bytes([205, 155, 1, 2, 0, 248, 248, 1, 1, 0])
     assert decrypt_file(cipher, key) == bytes([50, 100, 7])
 
 
@@ -206,22 +206,19 @@ def test_order_preservation():
     data = bytes([105, 110, 50, 100, 0, 0])
     cipher, key = encrypt_file(data)
     assert cipher[0] == 5 and cipher[1] == 50 and cipher[2] == 0
-    assert key.record(0) == (150, 145, 21, 1, 1)
-    assert key.record(1) == (205, 155, 1, 2, 0)
-    assert key.record(2) == (255, 255, 0, 0, 0)
+    assert key.record_bytes == TABLE_RECORD + bytes([205, 155, 1, 2, 0, 255, 255, 0, 0, 0])
 
 
 def test_parse_key_file_single_record():
     key = parse_key_file(header(2) + TABLE_RECORD)
     assert key.plaintext_length == 2
-    assert key.record_count == 1
-    assert key.record(0) == (150, 145, 21, 1, 1)
+    assert key.record_bytes == TABLE_RECORD
 
 
 def test_parse_key_file_header_only():
     key = parse_key_file(header(0))
     assert key.plaintext_length == 0
-    assert key.record_count == 0
+    assert key.record_bytes == b""
 
 
 def test_parse_key_file_truncated_payload():
@@ -257,12 +254,6 @@ def test_key_file_rejects_inconsistent_payload():
         KeyFile(2, b"")
     with pytest.raises(KeyFileFormatError):
         KeyFile(0, TABLE_RECORD)
-
-
-def test_key_file_record_index_bounds():
-    key = KeyFile(2, TABLE_RECORD)
-    with pytest.raises(IndexError):
-        key.record(1)
 
 
 @pytest.mark.parametrize("cipher", [b"\x05\x05", b""], ids=["too-long", "too-short"])
