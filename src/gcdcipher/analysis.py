@@ -12,7 +12,9 @@ alone, and frequency counts and bit differences add up chunk by chunk.
 ``avalanche`` encrypts nothing. The block domain is only 2^16, so it looks
 up both encryptions of each block, of the original and of the flipped
 plaintext, in a table of every block's output built once from
-``filecodec.block_table``.
+``filecodec.block_table``. It allocates its two chunk outputs once per
+call and gathers every chunk into them, so no chunk allocates new output
+memory.
 """
 
 from __future__ import annotations
@@ -108,13 +110,18 @@ def _output_table() -> np.ndarray:
     return table
 
 
-def _changed_bits(chunk: memoryview, flip_mask: int) -> int:
-    # a function of its own, so one chunk's outputs are freed before the next
+def _changed_bits(
+    chunk: memoryview, flip_mask: int, base_buf: np.ndarray, flipped_buf: np.ndarray
+) -> int:
+    # a function of its own, so one chunk's index is freed before the next;
+    # both outputs are gathered into the front of avalanche's buffers, and
+    # "clip" (a 16-bit index never clips) lets take() gather straight into them
     table = _output_table()
     index = filecodec._block_index(chunk)
-    base = table.take(index)
+    n = len(index)
+    base = table.take(index, mode="clip", out=base_buf[:n])
     index ^= flip_mask << 8 | flip_mask  # the blocks of the flipped plaintext
-    flipped = table.take(index)
+    flipped = table.take(index, mode="clip", out=flipped_buf[:n])
     del index  # 8 bytes a block: free it before the distance's XOR buffer
     return hamming_distance(base, flipped)
 
@@ -132,7 +139,10 @@ def avalanche(plaintext: bytes, flip_mask: int = FLIP_MASK) -> float:
         raise ValueError("avalanche is undefined for an empty plaintext")
     if not 0 <= flip_mask <= 255:
         raise ValueError(f"flip mask out of range: {flip_mask}")
-    changed = sum(_changed_bits(chunk, flip_mask) for chunk in _chunks(data))
+    # one pair of output buffers for every chunk, sized to the first, the largest
+    blocks = block_count(min(len(data), 2 * filecodec.CHUNK_BLOCKS))
+    outputs = np.empty(blocks, np.uint64), np.empty(blocks, np.uint64)
+    changed = sum(_changed_bits(chunk, flip_mask, *outputs) for chunk in _chunks(data))
     return 100.0 * changed / (8 * (1 + RECORD_SIZE) * block_count(len(data)))
 
 

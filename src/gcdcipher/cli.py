@@ -1,8 +1,10 @@
 """Command-line front end: encrypt, decrypt, audit, corpus, selftest.
 
-An output that is the same file as an input or another output is refused
-before anything is opened. A failed command removes each regular file it
-opened for output, and never a path it did not open, a device or a pipe.
+Status lines go to stderr, so an output written to ``/dev/stdout`` holds
+its bytes and nothing else; only ``selftest`` reports on stdout. An output
+that is the same file as an input or another output is refused before
+anything is opened. A failed command removes each regular file it opened
+for output, and never a path it did not open, a device or a pipe.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def cmd_encrypt(args) -> int:
     blocks = block_count(length)
     print(
         f"{src_path} ({length} bytes) -> {ct_path} ({blocks} bytes) "
-        f"+ {key_path} ({HEADER_SIZE + blocks * RECORD_SIZE} bytes) in {elapsed:.3f} s"
+        f"+ {key_path} ({HEADER_SIZE + blocks * RECORD_SIZE} bytes) in {elapsed:.3f} s",
+        file=sys.stderr,
     )
     return EXIT_OK
 
@@ -162,7 +165,8 @@ def cmd_decrypt(args) -> int:
           _outputs([ct_path, key_path], out_path) as (out,)):
         length = decrypt_stream(ct, key, out)
     elapsed = time.perf_counter() - start
-    print(f"{ct_path} + {key_path} -> {out_path} ({length} bytes) in {elapsed:.3f} s")
+    print(f"{ct_path} + {key_path} -> {out_path} ({length} bytes) in {elapsed:.3f} s",
+          file=sys.stderr)
     return EXIT_OK
 
 
@@ -227,7 +231,7 @@ def cmd_corpus(args) -> int:
             if error is not None:
                 failures += 1
                 print(f"error: {name}: {error}", file=sys.stderr)
-    print(f"{args.csv}: {len(results)} rows, {failures} failed")
+    print(f"{args.csv}: {len(results)} rows, {failures} failed", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_IO
 
 

@@ -20,6 +20,13 @@ consistency check. The in-memory ``encrypt_file`` and ``decrypt_file`` run
 it over ``io.BytesIO`` buffers, so a whole-file ``encrypt_file`` holds its
 outputs (3x the input) plus one chunk.
 
+``_encode_stream`` allocates its chunk outputs once per call, sized to the
+first chunk, and gathers every chunk into them: outputs allocated per
+chunk are unmapped or trimmed by the allocator and faulted back in on the
+next chunk. So the ``write`` of ``cipher_out`` and ``key_out``
+receives a view of a reused buffer that is valid only during the call, as
+``io.RawIOBase.write`` specifies; a sink that keeps it must copy it.
+
 A block's output depends on that block alone, so encryption is a lookup:
 ``block_table`` holds the cipher byte and key record of all 65,536 blocks,
 built once on first use, and each chunk is one gather from it. Tests pin
@@ -134,11 +141,15 @@ def _encode_stream(src: BinaryIO, cipher_out: BinaryIO, records_out: BinaryIO) -
     # the one encryption loop; returns the plaintext byte count
     chunk_bytes = 2 * CHUNK_BLOCKS
     total = 0
+    outputs = None
     while True:
         data = _read_full(src, chunk_bytes)
         total += len(data)
         if data:
-            _encode_blocks(data, cipher_out, records_out)
+            if outputs is None:  # sized to the first chunk, which no later one exceeds
+                blocks = block_count(len(data))
+                outputs = np.empty(blocks, np.uint8), np.empty((blocks, RECORD_SIZE), np.uint8)
+            _encode_blocks(data, *outputs, cipher_out, records_out)
         if len(data) < chunk_bytes:
             return total
 
@@ -230,17 +241,26 @@ def _block_index(data: bytes) -> np.ndarray:
     return index
 
 
-def _encode_blocks(data: bytes, cipher_out: BinaryIO, records_out: BinaryIO) -> None:
-    # one chunk: gather its cipher bytes and records from the block table and
-    # write them as flat uint8 arrays, so len() is the byte count
+def _encode_blocks(
+    data: bytes,
+    cipher_buf: np.ndarray,
+    records_buf: np.ndarray,
+    cipher_out: BinaryIO,
+    records_out: BinaryIO,
+) -> None:
+    # one chunk: gather its cipher bytes and records from the block table into
+    # the front of the loop's buffers and write those slices as flat uint8
+    # arrays, so len() is the byte count
     cipher, records = block_table()
-    # a 16-bit index is always in range, so "clip" never clips; it only
-    # spares the bounds check
     index = _block_index(data)
-    cipher_out.write(cipher.take(index, mode="clip"))
-    chosen = records.take(index, axis=0, mode="clip").reshape(-1)
-    del index  # 8 bytes a block: free it before the write copies the records
-    records_out.write(chosen)
+    n = len(index)
+    # a 16-bit index is always in range, so "clip" never clips; it spares the
+    # bounds check, and with it take() gathers straight into out
+    chosen_cipher = cipher.take(index, mode="clip", out=cipher_buf[:n])
+    chosen = records.take(index, axis=0, mode="clip", out=records_buf[:n])
+    del index  # 8 bytes a block: free it before the writes copy the outputs
+    cipher_out.write(chosen_cipher)
+    records_out.write(chosen.reshape(-1))
 
 
 def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> np.ndarray:

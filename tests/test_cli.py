@@ -38,11 +38,38 @@ def test_encrypt_decrypt_default_names(tmp_path, capsys):
     key = tmp_path / "key_test.txt"
     assert ct.read_bytes() == b"\x05"
     assert key.read_bytes() == header(2) + bytes([150, 145, 21, 1, 1])
-    out = capsys.readouterr().out
-    assert "2 bytes" in out and "s" in out
+    err = capsys.readouterr().err
+    assert "2 bytes" in err and "s" in err
 
     assert run_cli(["decrypt", str(ct), str(key)]) == 0
     assert (tmp_path / "pt_test.txt").read_bytes() == b"in"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "corpus"])
+def test_output_on_stdout_holds_nothing_but_the_output(tmp_path, command):
+    data = random.Random(3).randbytes(1001)
+    src = tmp_path / "in" / "data.bin"
+    src.parent.mkdir()
+    src.write_bytes(data)
+    cipher, key = encrypt_file(data)
+    (tmp_path / "ct").write_bytes(cipher)
+    (tmp_path / "key").write_bytes(key.to_bytes())
+    argv = {
+        "encrypt": ["encrypt", src, "--ct", "/dev/stdout", "--key", tmp_path / "key2"],
+        "decrypt": ["decrypt", tmp_path / "ct", tmp_path / "key", "--out", "/dev/stdout"],
+        "corpus": ["corpus", src.parent, "--csv", "/dev/stdout"],
+    }[command]
+    proc = subprocess.run([sys.executable, "-m", "gcdcipher.cli", *map(str, argv)],
+                          env=CHILD_ENV, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if command == "corpus":
+        rows = list(csv.reader(proc.stdout.decode().splitlines()))
+        assert rows[0] == cli.CSV_COLUMNS
+        assert [row[:3] for row in rows[1:]] == [["data.bin", "1001", "501"]]
+    else:
+        assert proc.stdout == {"encrypt": cipher, "decrypt": data}[command]
+    assert b"/dev/stdout" in proc.stderr  # the status line
 
 
 def test_encrypt_decrypt_explicit_paths_binary(tmp_path):
@@ -496,3 +523,40 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], env=CHILD_ENV, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def child_minor_faults(tmp_path, argv):
+    """Minor page faults of one fresh `python -m gcdcipher.cli` process."""
+    log = tmp_path / "stderr"
+    pid = os.posix_spawn(
+        sys.executable, [sys.executable, "-m", "gcdcipher.cli", *map(str, argv)], CHILD_ENV,
+        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+                      (os.POSIX_SPAWN_OPEN, 2, str(log), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)],
+    )
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, log.read_text()
+    return usage.ru_minflt
+
+
+# glibc's malloc maps each request of 128 KiB or more afresh and trims the
+# heap top, so a chunk loop that allocates its outputs per 64 KiB chunk
+# faults in (and zeroes) new pages on every chunk: thousands of faults more
+# at 8 MiB than at 64 KiB. Reading the whole file, as corpus does, costs
+# 2,048 of the allowed faults.
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator, Linux rusage")
+@pytest.mark.parametrize("command, allowed", [("encrypt", 1000), ("corpus", 4000)])
+def test_chunk_loops_do_not_fault_in_new_memory_per_chunk(tmp_path, command, allowed):
+    faults = []
+    for size in (64 * 1024, 8 * 2**20):
+        # written here: a large array freed in the child would raise glibc's
+        # mmap threshold and hide the churn this test looks for
+        directory = tmp_path / str(size)
+        directory.mkdir()
+        src = directory / "data.bin"
+        src.write_bytes(random.Random(size).randbytes(size))
+        argv = {
+            "encrypt": ["encrypt", src, "--ct", tmp_path / "ct", "--key", tmp_path / "key"],
+            "corpus": ["corpus", directory, "--csv", tmp_path / "report.csv"],
+        }[command]
+        faults.append(child_minor_faults(tmp_path, argv))
+    assert faults[1] - faults[0] < allowed, faults

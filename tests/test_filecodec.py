@@ -304,6 +304,45 @@ def test_encrypt_stream_matches_encrypt_file(monkeypatch):
     assert key_out.getvalue() == key.to_bytes()
 
 
+class CopyingSink:
+    """Seekable sink that keeps bytes(b) of every write, as a sink must:
+    encrypt_stream hands write a view of a buffer it reuses for the next chunk."""
+
+    def __init__(self):
+        self.writes: list[tuple[int, bytes]] = []  # (offset, bytes) in write order
+        self.position = 0
+
+    def write(self, b) -> int:
+        piece = bytes(b)
+        self.writes.append((self.position, piece))
+        self.position += len(piece)
+        return len(piece)
+
+    def seek(self, position: int) -> int:
+        self.position = position
+        return position
+
+    def getvalue(self) -> bytes:
+        out = bytearray()
+        for position, piece in self.writes:
+            out[position : position + len(piece)] = piece
+        return bytes(out)
+
+
+@pytest.mark.parametrize("length", [17, 33, 1001])
+def test_encrypt_stream_matches_scalar_blocks_across_chunks(monkeypatch, length):
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)  # 16-byte chunks
+    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
+    ct, key_out = CopyingSink(), CopyingSink()
+    assert encrypt_stream(io.BytesIO(data), ct, key_out) == length
+    cipher, records = scalar_encrypt(data)
+    assert ct.getvalue() == cipher
+    assert key_out.getvalue() == header(length) + records
+    # one cipher write a chunk, and the last chunk shorter than the first
+    last = block_count(length % 16)
+    assert [len(piece) for _, piece in ct.writes] == [8] * (length // 16) + [last]
+
+
 def test_decrypt_stream_matches_decrypt_file(monkeypatch):
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
     data = b"\x00\xffgcd stream" * 37 + b"!"
@@ -442,3 +481,11 @@ def test_whole_file_decrypt_holds_its_output_plus_one_chunk():
     plain, peak = traced_peak(decrypt_file, cipher, key)
     assert plain == WHOLE_FILE
     assert peak < 1.5 * len(WHOLE_FILE)
+
+
+def test_whole_file_encrypt_stream_holds_chunk_sized_buffers():
+    block_table()  # built once per process, not part of one call's cost
+    with open(os.devnull, "wb") as ct, open(os.devnull, "wb") as key:
+        total, peak = traced_peak(encrypt_stream, io.BytesIO(WHOLE_FILE), ct, key)
+    assert total == len(WHOLE_FILE)
+    assert peak < 2**20  # chunk-sized buffers, not file-sized ones
