@@ -10,6 +10,7 @@ a leakage audit showing that the key file alone reveals the plaintext.
 from .analysis import (
     AnalysisReport,
     analyze_file,
+    audit_stream,
     avalanche,
     chi_square,
     frequency_table,
@@ -22,7 +23,6 @@ from .block import (
     MalformedRecordError,
     decrypt_block,
     encrypt_block,
-    gcd,
     zero_weight,
 )
 from .filecodec import (
@@ -56,6 +56,7 @@ __all__ = [
     "RECORD_SIZE",
     "VERSION",
     "analyze_file",
+    "audit_stream",
     "avalanche",
     "block_count",
     "chi_square",
@@ -66,7 +67,6 @@ __all__ = [
     "encrypt_file",
     "encrypt_stream",
     "frequency_table",
-    "gcd",
     "hamming_distance",
     "keyfile_leakage_audit",
     "parse_key_file",

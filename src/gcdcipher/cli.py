@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AnalysisReport, analyze_file, keyfile_leakage_audit
+from .analysis import AnalysisReport, analyze_file, audit_stream
 from .block import MalformedRecordError, decrypt_block, encrypt_block, zero_weight
 from .filecodec import (
     HEADER_SIZE,
@@ -33,7 +33,6 @@ from .filecodec import (
     decrypt_stream,
     encrypt_file,
     encrypt_stream,
-    parse_key_file,
 )
 
 EXIT_OK = 0
@@ -172,18 +171,18 @@ def cmd_decrypt(args) -> int:
 
 def cmd_audit(args) -> int:
     key_path = Path(args.key)
-    with _outputs([key_path], *([Path(args.out)] if args.out else [])) as handles:
-        recovered = keyfile_leakage_audit(parse_key_file(key_path.read_bytes()))
-        print(
-            "warning: the key file leaks the plaintext; its zero-weight fields are "
-            "bitwise complements of the plaintext bytes",
-            file=sys.stderr,
-        )
+    with (open(key_path, "rb") as key,
+          _outputs([key_path], *([Path(args.out)] if args.out else [])) as handles):
         out = handles[0] if handles else sys.stdout.buffer
-        out.write(recovered)
+        length = audit_stream(key, out)
         out.flush()
+    print(
+        "warning: the key file leaks the plaintext; its zero-weight fields are "
+        "bitwise complements of the plaintext bytes",
+        file=sys.stderr,
+    )
     if args.out:
-        print(f"recovered {len(recovered)} bytes from {args.key} -> {args.out}", file=sys.stderr)
+        print(f"recovered {length} bytes from {args.key} -> {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

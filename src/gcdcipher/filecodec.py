@@ -170,9 +170,7 @@ def _decode_stream(
             )
         records = _read_full(records_in, k * RECORD_SIZE)
         if len(records) < k * RECORD_SIZE:
-            raise KeyFileFormatError(
-                f"key file record payload truncated near block {done + len(records) // RECORD_SIZE}"
-            )
+            raise _payload_truncated(done + len(records) // RECORD_SIZE)
         plain = _decode_blocks(cipher, records, done)
         done += k
         if done == blocks and plaintext_length % 2:
@@ -180,6 +178,14 @@ def _decode_stream(
         out.write(plain)
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
+    _check_payload_ends(records_in)
+
+
+def _payload_truncated(block: int) -> KeyFileFormatError:
+    return KeyFileFormatError(f"key file record payload truncated near block {block}")
+
+
+def _check_payload_ends(records_in: BinaryIO) -> None:
     if records_in.read(1):
         raise KeyFileFormatError("trailing bytes after the final key record")
 
@@ -293,3 +299,11 @@ def _read_full(stream: BinaryIO, n: int) -> bytes:
     while len(buf) < n and (piece := stream.read(n - len(buf))):
         buf += piece
     return bytes(buf)
+
+
+def _read_into(stream: BinaryIO, view: memoryview) -> int:
+    """Fill view from the stream unless it ends first; returns the bytes read."""
+    got = 0
+    while got < len(view) and (n := stream.readinto(view[got:])):
+        got += n
+    return got

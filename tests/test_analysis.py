@@ -1,3 +1,4 @@
+import io
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gcdcipher import analysis
 from gcdcipher.analysis import (
     analyze_file,
+    audit_stream,
     avalanche,
     chi_square,
     frequency_table,
@@ -17,7 +19,7 @@ from gcdcipher.analysis import (
     keyfile_leakage_audit,
 )
 from gcdcipher.block import encrypt_block
-from gcdcipher.filecodec import KeyFile, block_table, encrypt_file
+from gcdcipher.filecodec import KeyFile, KeyFileFormatError, block_table, encrypt_file
 
 
 def table(**counts) -> np.ndarray:
@@ -334,3 +336,42 @@ def test_analyze_file_memory_does_not_grow_with_the_file():
     finally:
         tracemalloc.stop()
     assert peak < len(data) // 8
+
+
+@pytest.mark.parametrize("length", SEAM_LENGTHS)
+def test_audit_stream_equals_the_whole_key_audit(monkeypatch, length):
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = random.Random(2000 + length).randbytes(length)
+    _, key = encrypt_file(data)
+    out = io.BytesIO()
+    assert audit_stream(io.BytesIO(key.to_bytes()), out) == length
+    assert out.getvalue() == keyfile_leakage_audit(key) == data
+
+
+def test_audit_stream_names_the_block_where_the_payload_ends(monkeypatch):
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    data = random.Random(41).randbytes(41)  # 21 blocks: chunks of 8, 8 and 5
+    _, key = encrypt_file(data)
+    out = io.BytesIO()
+    with pytest.raises(KeyFileFormatError, match="near block 11"):
+        audit_stream(io.BytesIO(key.to_bytes()[: -5 * 10 + 2]), out)
+    assert out.getvalue() == data[:16]  # the first chunk, written before the fault
+
+
+def test_audit_stream_memory_does_not_grow_with_the_file(tmp_path):
+    """Beyond the output file, the audit holds one chunk, not the key file."""
+    data = np.random.default_rng(9).integers(0, 256, (8 << 20) * 2 // 5, dtype=np.uint8).tobytes()
+    key_path, out_path = tmp_path / "key", tmp_path / "out"
+    key_path.write_bytes(encrypt_file(data)[1].to_bytes())
+    assert key_path.stat().st_size > 8 << 20
+    with open(key_path, "rb") as key, open(out_path, "wb") as out:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            audit_stream(key, out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert out_path.read_bytes() == data
+    assert peak < 2 << 20
