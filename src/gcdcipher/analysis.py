@@ -8,9 +8,9 @@ wall-clock codec timing, and the key-file leakage audit.
 chunks of ``2 * filecodec.CHUNK_BLOCKS`` plaintext bytes, so their memory
 does not grow with the file. The results are exact: a block's output
 depends on that block alone, and frequency counts and bit differences add
-up chunk by chunk. ``audit_stream`` reads a key file one chunk of records
-at a time into one reused buffer, and recovers each chunk with
-``keyfile_leakage_audit``, which recovers whatever ``KeyFile`` it is given.
+up chunk by chunk. ``audit_stream`` takes a key stream one chunk at a
+time from ``filecodec._key_file_chunks``, as a key file of its own in one
+reused buffer, and recovers each with ``keyfile_leakage_audit``.
 
 ``avalanche`` encrypts nothing. The block domain is only 2^16, so it looks
 up both encryptions of each block, of the original and of the flipped
@@ -31,14 +31,7 @@ import numpy as np
 
 from . import filecodec
 from .block import RECORD_SIZE
-from .filecodec import (
-    HEADER_SIZE,
-    KeyFile,
-    block_count,
-    decrypt_file,
-    encrypt_file,
-    parse_key_file,
-)
+from .filecodec import KeyFile, block_count, decrypt_file, encrypt_file, parse_key_file
 
 # default flip target: the 5th bit counting the most significant as 1st (weight 8)
 FLIP_MASK = 0x08
@@ -180,23 +173,12 @@ def audit_stream(key_in: BinaryIO, out: BinaryIO) -> int:
     A record payload that ends early or has trailing bytes raises
     KeyFileFormatError after the chunks before the fault are written.
     """
-    plaintext_length = filecodec._parse_header(filecodec._read_full(key_in, HEADER_SIZE))
-    blocks = block_count(plaintext_length)
-    # one header-and-records buffer for every chunk, sized to the first, the
-    # largest: a fresh one per chunk would fault in new pages each time
-    buf = memoryview(bytearray(HEADER_SIZE + min(blocks, filecodec.CHUNK_BLOCKS) * RECORD_SIZE))
-    done = 0
-    while done < blocks:
-        k = min(filecodec.CHUNK_BLOCKS, blocks - done)
-        chunk = buf[: HEADER_SIZE + k * RECORD_SIZE]
-        chunk[:HEADER_SIZE] = filecodec._header(min(2 * k, plaintext_length - 2 * done))
-        got = filecodec._read_into(key_in, chunk[HEADER_SIZE:])
-        if got < k * RECORD_SIZE:
-            raise filecodec._payload_truncated(done + got // RECORD_SIZE)
-        out.write(keyfile_leakage_audit(parse_key_file(chunk)))
-        done += k
-    filecodec._check_payload_ends(key_in)
-    return plaintext_length
+    written = 0
+    for chunk in filecodec._key_file_chunks(key_in):
+        recovered = keyfile_leakage_audit(parse_key_file(chunk))
+        out.write(recovered)
+        written += len(recovered)
+    return written
 
 
 def analyze_file(plaintext: bytes) -> AnalysisReport:

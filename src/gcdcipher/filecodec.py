@@ -18,7 +18,9 @@ regardless of input size. There is one chunk loop per direction,
 ``_encode_stream`` and ``_decode_stream``, and it makes every cipher/key
 consistency check. The in-memory ``encrypt_file`` and ``decrypt_file`` run
 it over ``io.BytesIO`` buffers, so a whole-file ``encrypt_file`` holds its
-outputs (3x the input) plus one chunk.
+outputs (3x the input) plus one chunk. ``_key_file_chunks`` splits a key
+stream into chunks that are each a key file of their own, for the key-only
+recovery of ``analysis.audit_stream``.
 
 ``_encode_stream`` allocates its chunk outputs once per call, sized to the
 first chunk, and gathers every chunk into them: outputs allocated per
@@ -40,7 +42,7 @@ import functools
 import io
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -179,6 +181,27 @@ def _decode_stream(
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
     _check_payload_ends(records_in)
+
+
+def _key_file_chunks(key_in: BinaryIO) -> Iterator[memoryview]:
+    # each chunk of a key stream as a key file of its own: the chunk's records
+    # behind a header naming its plaintext length. All chunks share one
+    # buffer, sized to the first, the largest, so a chunk is valid only until
+    # the next; a fresh one per chunk would fault in new pages each time
+    plaintext_length = _parse_header(_read_full(key_in, HEADER_SIZE))
+    blocks = block_count(plaintext_length)
+    buf = memoryview(bytearray(HEADER_SIZE + min(blocks, CHUNK_BLOCKS) * RECORD_SIZE))
+    done = 0
+    while done < blocks:
+        k = min(CHUNK_BLOCKS, blocks - done)
+        chunk = buf[: HEADER_SIZE + k * RECORD_SIZE]
+        chunk[:HEADER_SIZE] = _header(min(2 * k, plaintext_length - 2 * done))
+        got = _read_into(key_in, chunk[HEADER_SIZE:])
+        if got < k * RECORD_SIZE:
+            raise _payload_truncated(done + got // RECORD_SIZE)
+        yield chunk
+        done += k
+    _check_payload_ends(key_in)
 
 
 def _payload_truncated(block: int) -> KeyFileFormatError:
