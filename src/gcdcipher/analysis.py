@@ -9,8 +9,8 @@ chunks of ``2 * filecodec.CHUNK_BLOCKS`` plaintext bytes, so their memory
 does not grow with the file. The results are exact: a block's output
 depends on that block alone, and frequency counts and bit differences add
 up chunk by chunk. ``audit_stream`` takes a key stream one chunk at a
-time from ``filecodec._key_file_chunks``, as a key file of its own in one
-reused buffer, and recovers each with ``keyfile_leakage_audit``.
+time from ``filecodec._key_files``, each chunk a key file of its own, and
+recovers each with ``keyfile_leakage_audit``.
 
 ``avalanche`` encrypts nothing. The block domain is only 2^16, so it looks
 up both encryptions of each block, of the original and of the flipped
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import filecodec
 from .block import RECORD_SIZE
-from .filecodec import KeyFile, block_count, decrypt_file, encrypt_file, parse_key_file
+from .filecodec import KeyFile, block_count, decrypt_file, encrypt_file
 
 # default flip target: the 5th bit counting the most significant as 1st (weight 8)
 FLIP_MASK = 0x08
@@ -169,13 +169,13 @@ def audit_stream(key_in: BinaryIO, out: BinaryIO) -> int:
 
     Works one chunk at a time, so memory does not grow with the file. A
     chunk's records under a header naming the chunk's plaintext length are
-    a key file of their own, so each chunk is parsed and recovered as one.
-    A record payload that ends early or has trailing bytes raises
-    KeyFileFormatError after the chunks before the fault are written.
+    a key file of their own, so each chunk is recovered as one. A record
+    payload that ends early or has trailing bytes raises KeyFileFormatError
+    after the chunks before the fault are written.
     """
     written = 0
-    for chunk in filecodec._key_file_chunks(key_in):
-        recovered = keyfile_leakage_audit(parse_key_file(chunk))
+    for key in filecodec._key_files(key_in):
+        recovered = keyfile_leakage_audit(key)
         out.write(recovered)
         written += len(recovered)
     return written

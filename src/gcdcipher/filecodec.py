@@ -18,9 +18,11 @@ regardless of input size. There is one chunk loop per direction,
 ``_encode_stream`` and ``_decode_stream``, and it makes every cipher/key
 consistency check. The in-memory ``encrypt_file`` and ``decrypt_file`` run
 it over ``io.BytesIO`` buffers, so a whole-file ``encrypt_file`` holds its
-outputs (3x the input) plus one chunk. ``_key_file_chunks`` splits a key
-stream into chunks that are each a key file of their own, for the key-only
-recovery of ``analysis.audit_stream``.
+outputs (3x the input) plus one chunk. ``_record_chunks`` is the one reader
+of a key's record payload, and makes every check of its size.
+``_decode_stream`` reads the key through it, and so does ``_key_files``,
+which yields each chunk of a key stream as a key file of its own for the
+key-only recovery of ``analysis.audit_stream``.
 
 ``_encode_stream`` allocates its chunk outputs once per call, sized to the
 first chunk, and gathers every chunk into them: outputs allocated per
@@ -161,54 +163,47 @@ def _decode_stream(
 ) -> None:
     # the one decryption loop, and every cipher/key consistency check
     blocks = block_count(plaintext_length)
-    done = 0
-    while done < blocks:
-        k = min(CHUNK_BLOCKS, blocks - done)
+    for done, records in _record_chunks(records_in, plaintext_length):
+        k = len(records) // RECORD_SIZE
         cipher = _read_full(cipher_in, k)
         if len(cipher) < k:
             raise ConsistencyError(
                 f"cipher ends after block {done + len(cipher)}, "
                 f"key file implies {blocks} blocks"
             )
-        records = _read_full(records_in, k * RECORD_SIZE)
-        if len(records) < k * RECORD_SIZE:
-            raise _payload_truncated(done + len(records) // RECORD_SIZE)
-        plain = _decode_blocks(cipher, records, done)
-        done += k
-        if done == blocks and plaintext_length % 2:
-            plain = plain[:-1]  # drop the self-paired duplicate
-        out.write(plain)
+        # only the last chunk's slice cuts: it drops a self-paired tail's duplicate
+        out.write(_decode_blocks(cipher, records, done)[: plaintext_length - 2 * done])
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
-    _check_payload_ends(records_in)
 
 
-def _key_file_chunks(key_in: BinaryIO) -> Iterator[memoryview]:
+def _key_files(key_in: BinaryIO) -> Iterator[KeyFile]:
     # each chunk of a key stream as a key file of its own: the chunk's records
-    # behind a header naming its plaintext length. All chunks share one
-    # buffer, sized to the first, the largest, so a chunk is valid only until
-    # the next; a fresh one per chunk would fault in new pages each time
+    # behind a header naming its plaintext length, parsed from one buffer
+    # sized to the first chunk, the largest; a fresh one per chunk would fault
+    # in new pages each time
     plaintext_length = _parse_header(_read_full(key_in, HEADER_SIZE))
+    size = HEADER_SIZE + min(block_count(plaintext_length), CHUNK_BLOCKS) * RECORD_SIZE
+    buf = memoryview(bytearray(size))
+    for done, records in _record_chunks(key_in, plaintext_length):
+        chunk = buf[: HEADER_SIZE + len(records)]
+        chunk[:HEADER_SIZE] = _header(min(2 * CHUNK_BLOCKS, plaintext_length - 2 * done))
+        chunk[HEADER_SIZE:] = records
+        yield parse_key_file(chunk)
+
+
+def _record_chunks(records_in: BinaryIO, plaintext_length: int) -> Iterator[tuple[int, bytes]]:
+    # the one reader of a key's record payload: yields each chunk's first
+    # block and its CHUNK_BLOCKS records, the last chunk's fewer, and makes
+    # every check of the payload's size
     blocks = block_count(plaintext_length)
-    buf = memoryview(bytearray(HEADER_SIZE + min(blocks, CHUNK_BLOCKS) * RECORD_SIZE))
-    done = 0
-    while done < blocks:
-        k = min(CHUNK_BLOCKS, blocks - done)
-        chunk = buf[: HEADER_SIZE + k * RECORD_SIZE]
-        chunk[:HEADER_SIZE] = _header(min(2 * k, plaintext_length - 2 * done))
-        got = _read_into(key_in, chunk[HEADER_SIZE:])
-        if got < k * RECORD_SIZE:
-            raise _payload_truncated(done + got // RECORD_SIZE)
-        yield chunk
-        done += k
-    _check_payload_ends(key_in)
-
-
-def _payload_truncated(block: int) -> KeyFileFormatError:
-    return KeyFileFormatError(f"key file record payload truncated near block {block}")
-
-
-def _check_payload_ends(records_in: BinaryIO) -> None:
+    for done in range(0, blocks, CHUNK_BLOCKS):
+        size = min(CHUNK_BLOCKS, blocks - done) * RECORD_SIZE
+        records = _read_full(records_in, size)
+        if len(records) < size:
+            block = done + len(records) // RECORD_SIZE
+            raise KeyFileFormatError(f"key file record payload truncated near block {block}")
+        yield done, records
     if records_in.read(1):
         raise KeyFileFormatError("trailing bytes after the final key record")
 
@@ -322,11 +317,3 @@ def _read_full(stream: BinaryIO, n: int) -> bytes:
     while len(buf) < n and (piece := stream.read(n - len(buf))):
         buf += piece
     return bytes(buf)
-
-
-def _read_into(stream: BinaryIO, view: memoryview) -> int:
-    """Fill view from the stream unless it ends first; returns the bytes read."""
-    got = 0
-    while got < len(view) and (n := stream.readinto(view[got:])):
-        got += n
-    return got

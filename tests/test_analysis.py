@@ -19,7 +19,13 @@ from gcdcipher.analysis import (
     keyfile_leakage_audit,
 )
 from gcdcipher.block import encrypt_block
-from gcdcipher.filecodec import KeyFile, KeyFileFormatError, block_table, encrypt_file
+from gcdcipher.filecodec import (
+    KeyFile,
+    KeyFileFormatError,
+    block_table,
+    decrypt_stream,
+    encrypt_file,
+)
 
 
 def table(**counts) -> np.ndarray:
@@ -351,11 +357,14 @@ def test_audit_stream_equals_the_whole_key_audit(monkeypatch, length):
 def test_audit_stream_names_the_block_where_the_payload_ends(monkeypatch):
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
     data = random.Random(41).randbytes(41)  # 21 blocks: chunks of 8, 8 and 5
-    _, key = encrypt_file(data)
-    out = io.BytesIO()
-    with pytest.raises(KeyFileFormatError, match="near block 11"):
-        audit_stream(io.BytesIO(key.to_bytes()[: -5 * 10 + 2]), out)
-    assert out.getvalue() == data[:16]  # the first chunk, written before the fault
+    cipher, key = encrypt_file(data)
+    damaged = key.to_bytes()[: -5 * 10 + 2]
+    # decryption reads the same payload: one message, one point of failure
+    for recover in (audit_stream, lambda k, o: decrypt_stream(io.BytesIO(cipher), k, o)):
+        out = io.BytesIO()
+        with pytest.raises(KeyFileFormatError, match="near block 11"):
+            recover(io.BytesIO(damaged), out)
+        assert out.getvalue() == data[:16]  # the first chunk, written before the fault
 
 
 def test_audit_stream_memory_does_not_grow_with_the_file(tmp_path):

@@ -266,8 +266,10 @@ def test_audit_truncated_key_exits_2(tmp_path):
 def test_audit_key_damaged_past_the_first_chunk_exits_2(tmp_path, monkeypatch, capsysbinary):
     monkeypatch.setattr(filecodec, "CHUNK_BLOCKS", 8)
     data = random.Random(41).randbytes(41)  # 21 blocks: chunks of 8, 8 and 5
-    raw = encrypt_file(data)[1].to_bytes()
-    key_path, out = tmp_path / "key", tmp_path / "recovered"
+    cipher, key = encrypt_file(data)
+    raw = key.to_bytes()
+    ct_path, key_path, out = tmp_path / "ct", tmp_path / "key", tmp_path / "recovered"
+    ct_path.write_bytes(cipher)
     # on stdout, the chunks before the fault have already gone out
     for damaged, error, written in ((raw[: -5 * 10 + 2], b"near block 11", data[:16]),
                                     (raw + b"\0", b"trailing bytes", data)):
@@ -278,6 +280,10 @@ def test_audit_key_damaged_past_the_first_chunk_exits_2(tmp_path, monkeypatch, c
         captured = capsysbinary.readouterr()
         assert error in captured.err
         assert captured.out == written
+        # decrypt reads the same payload and fails the same way
+        assert run_cli(["decrypt", str(ct_path), str(key_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert error in capsysbinary.readouterr().err
 
 
 def make_corpus(tmp_path, count=10):
@@ -561,7 +567,9 @@ def child_minor_faults(tmp_path, argv):
 # at 8 MiB than at 64 KiB. Reading the whole file, as corpus does, costs
 # 2,048 of the allowed faults.
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator, Linux rusage")
-@pytest.mark.parametrize("command, allowed", [("encrypt", 1000), ("corpus", 4000), ("audit", 1000)])
+@pytest.mark.parametrize(
+    "command, allowed", [("encrypt", 1000), ("corpus", 4000), ("audit", 1000), ("decrypt", 1000)]
+)
 def test_chunk_loops_do_not_fault_in_new_memory_per_chunk(tmp_path, command, allowed):
     faults = []
     for size in (64 * 1024, 8 * 2**20):
@@ -571,13 +579,16 @@ def test_chunk_loops_do_not_fault_in_new_memory_per_chunk(tmp_path, command, all
         directory.mkdir()
         src = directory / "data.bin"
         src.write_bytes(random.Random(size).randbytes(size))
-        key = tmp_path / f"key_{size}"
-        if command == "audit":
-            key.write_bytes(encrypt_file(src.read_bytes())[1].to_bytes())
+        ct, key = tmp_path / f"ct_{size}", tmp_path / f"key_{size}"
+        if command in ("audit", "decrypt"):
+            cipher, key_file = encrypt_file(src.read_bytes())
+            ct.write_bytes(cipher)
+            key.write_bytes(key_file.to_bytes())
         argv = {
             "encrypt": ["encrypt", src, "--ct", tmp_path / "ct", "--key", tmp_path / "key"],
             "corpus": ["corpus", directory, "--csv", tmp_path / "report.csv"],
             "audit": ["audit", key, "--out", tmp_path / "recovered"],
+            "decrypt": ["decrypt", ct, key, "--out", tmp_path / "recovered"],
         }[command]
         faults.append(child_minor_faults(tmp_path, argv))
     assert faults[1] - faults[0] < allowed, faults
