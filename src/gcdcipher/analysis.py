@@ -113,22 +113,6 @@ def _output_table() -> np.ndarray:
     return table
 
 
-def _changed_bits(
-    chunk: memoryview, flip_mask: int, base_buf: np.ndarray, flipped_buf: np.ndarray
-) -> int:
-    # a function of its own, so one chunk's index is freed before the next;
-    # both outputs are gathered into the front of avalanche's buffers, and
-    # "clip" (a 16-bit index never clips) lets take() gather straight into them
-    table = _output_table()
-    index = filecodec._block_index(chunk)
-    n = len(index)
-    base = table.take(index, mode="clip", out=base_buf[:n])
-    index ^= flip_mask << 8 | flip_mask  # the blocks of the flipped plaintext
-    flipped = table.take(index, mode="clip", out=flipped_buf[:n])
-    del index  # 8 bytes a block: free it before the distance's XOR buffer
-    return hamming_distance(base, flipped)
-
-
 def avalanche(plaintext: bytes, flip_mask: int = FLIP_MASK) -> float:
     """Percentage of output bits that change when every plaintext byte has
     flip_mask XORed into it.
@@ -144,8 +128,20 @@ def avalanche(plaintext: bytes, flip_mask: int = FLIP_MASK) -> float:
         raise ValueError(f"flip mask out of range: {flip_mask}")
     # one pair of output buffers for every chunk, sized to the first, the largest
     blocks = block_count(min(len(data), 2 * filecodec.CHUNK_BLOCKS))
-    outputs = np.empty(blocks, np.uint64), np.empty(blocks, np.uint64)
-    changed = sum(_changed_bits(chunk, flip_mask, *outputs) for chunk in _chunks(data))
+    base_buf, flipped_buf = np.empty(blocks, np.uint64), np.empty(blocks, np.uint64)
+    # after the buffers: building the table before them raised corpus's peak RSS
+    table = _output_table()
+    changed = 0
+    for chunk in _chunks(data):
+        # both outputs are gathered into the front of the buffers, and "clip"
+        # (a 16-bit index never clips) lets take() gather straight into them
+        index = filecodec._block_index(chunk)
+        n = len(index)
+        base = table.take(index, mode="clip", out=base_buf[:n])
+        index ^= flip_mask << 8 | flip_mask  # the blocks of the flipped plaintext
+        flipped = table.take(index, mode="clip", out=flipped_buf[:n])
+        del index  # 8 bytes a block: free it before the distance's XOR buffer
+        changed += hamming_distance(base, flipped)
     return 100.0 * changed / (8 * (1 + RECORD_SIZE) * block_count(len(data)))
 
 

@@ -145,15 +145,27 @@ def _encode_stream(src: BinaryIO, cipher_out: BinaryIO, records_out: BinaryIO) -
     # the one encryption loop; returns the plaintext byte count
     chunk_bytes = 2 * CHUNK_BLOCKS
     total = 0
-    outputs = None
+    cipher_buf = records_buf = None
     while True:
         data = _read_full(src, chunk_bytes)
         total += len(data)
         if data:
-            if outputs is None:  # sized to the first chunk, which no later one exceeds
+            if cipher_buf is None:  # sized to the first chunk, which no later one exceeds
                 blocks = block_count(len(data))
-                outputs = np.empty(blocks, np.uint8), np.empty((blocks, RECORD_SIZE), np.uint8)
-            _encode_blocks(data, *outputs, cipher_out, records_out)
+                cipher_buf = np.empty(blocks, np.uint8)
+                records_buf = np.empty((blocks, RECORD_SIZE), np.uint8)
+                cipher, records = block_table()
+            # gather the chunk's cipher bytes and records into the front of the
+            # buffers; a 16-bit index is always in range, so "clip" never clips:
+            # it spares the bounds check, and with it take() gathers straight into out
+            index = _block_index(data)
+            n = len(index)
+            chosen_cipher = cipher.take(index, mode="clip", out=cipher_buf[:n])
+            chosen = records.take(index, axis=0, mode="clip", out=records_buf[:n])
+            del index  # 8 bytes a block: free it before the writes copy the outputs
+            # flat uint8 arrays, so len() is the byte count
+            cipher_out.write(chosen_cipher)
+            records_out.write(chosen.reshape(-1))
         if len(data) < chunk_bytes:
             return total
 
@@ -189,6 +201,7 @@ def _key_files(key_in: BinaryIO) -> Iterator[KeyFile]:
         chunk = buf[: HEADER_SIZE + len(records)]
         chunk[:HEADER_SIZE] = _header(min(2 * CHUNK_BLOCKS, plaintext_length - 2 * done))
         chunk[HEADER_SIZE:] = records
+        del records  # with _record_chunks' own del, freed before the next read
         yield parse_key_file(chunk)
 
 
@@ -204,6 +217,7 @@ def _record_chunks(records_in: BinaryIO, plaintext_length: int) -> Iterator[tupl
             block = done + len(records) // RECORD_SIZE
             raise KeyFileFormatError(f"key file record payload truncated near block {block}")
         yield done, records
+        del records  # free the read result before the next chunk is read
     if records_in.read(1):
         raise KeyFileFormatError("trailing bytes after the final key record")
 
@@ -263,28 +277,6 @@ def _block_index(data: bytes) -> np.ndarray:
     if len(data) % 2:
         index[pairs] = data[-1] * 0x101
     return index
-
-
-def _encode_blocks(
-    data: bytes,
-    cipher_buf: np.ndarray,
-    records_buf: np.ndarray,
-    cipher_out: BinaryIO,
-    records_out: BinaryIO,
-) -> None:
-    # one chunk: gather its cipher bytes and records from the block table into
-    # the front of the loop's buffers and write those slices as flat uint8
-    # arrays, so len() is the byte count
-    cipher, records = block_table()
-    index = _block_index(data)
-    n = len(index)
-    # a 16-bit index is always in range, so "clip" never clips; it spares the
-    # bounds check, and with it take() gathers straight into out
-    chosen_cipher = cipher.take(index, mode="clip", out=cipher_buf[:n])
-    chosen = records.take(index, axis=0, mode="clip", out=records_buf[:n])
-    del index  # 8 bytes a block: free it before the writes copy the outputs
-    cipher_out.write(chosen_cipher)
-    records_out.write(chosen.reshape(-1))
 
 
 def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> np.ndarray:

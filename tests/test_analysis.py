@@ -344,6 +344,25 @@ def test_analyze_file_memory_does_not_grow_with_the_file():
     assert peak < len(data) // 8
 
 
+@pytest.mark.parametrize("length", [1, 100, 1100])
+@pytest.mark.parametrize("run", [avalanche, encrypt_file, analyze_file])
+def test_sub_chunk_inputs_get_sub_chunk_buffers(run, length):
+    """The chunk loops size their buffers to the first chunk, not to CHUNK_BLOCKS."""
+    data = random.Random(length).randbytes(length)
+    block_table()
+    analysis._output_table()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # full-chunk buffers take 199-536 KB here; these inputs need at most 21 KB
+    assert peak < 64 << 10
+
+
 @pytest.mark.parametrize("length", SEAM_LENGTHS)
 def test_audit_stream_equals_the_whole_key_audit(monkeypatch, length):
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
