@@ -105,10 +105,8 @@ def _output_table() -> np.ndarray:
     # bytes, which XOR to 0 and so add no bits to a Hamming distance; built
     # on first use and read-only, since every later avalanche reads it
     cipher, records = filecodec.block_table()
-    packed = np.zeros((len(cipher), 8), dtype=np.uint8)
-    packed[:, 0] = cipher
-    packed[:, 1 : 1 + RECORD_SIZE] = records
-    table = packed.view(np.uint64).reshape(-1)
+    pad = np.zeros((len(cipher), 7 - RECORD_SIZE), dtype=np.uint8)
+    table = np.column_stack((cipher, records, pad)).view(np.uint64).reshape(-1)
     table.setflags(write=False)
     return table
 

@@ -4,7 +4,8 @@ Status lines go to stderr, so an output written to ``/dev/stdout`` holds
 its bytes and nothing else; only ``selftest`` reports on stdout. An output
 that is the same file as an input or another output is refused before
 anything is opened. A failed command removes each regular file it opened
-for output, and never a path it did not open, a device or a pipe.
+for output, and never a path it did not open, a device, a pipe or a
+symbolic link, such as ``/dev/stdout`` redirected to a file.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def _outputs(inputs: list[Path], *paths: Path):
             yield handles
     except BaseException:
         for path in paths[: len(handles)]:
-            if path.is_file():  # also true for a symlink to a regular file: the link goes
+            # is_file follows a link: /dev/stdout redirected to a file is one
+            if path.is_file() and not path.is_symlink():
                 path.unlink(missing_ok=True)
         raise
 

@@ -18,8 +18,9 @@ regardless of input size. There is one chunk loop per direction,
 ``_encode_stream`` and ``_decode_stream``, and it makes every cipher/key
 consistency check. The in-memory ``encrypt_file`` and ``decrypt_file`` run
 it over ``io.BytesIO`` buffers, so a whole-file ``encrypt_file`` holds its
-outputs (3x the input) plus one chunk. ``_record_chunks`` is the one reader
-of a key's record payload, and makes every check of its size.
+outputs (3x the input) plus about half a MiB of per-chunk working memory,
+and ``decrypt_file`` its output plus about the same. ``_record_chunks`` is
+the one reader of a key's record payload, and makes every check of its size.
 ``_decode_stream`` reads the key through it, and so does ``_key_files``,
 which yields each chunk of a key stream as a key file of its own for the
 key-only recovery of ``analysis.audit_stream``.
@@ -251,18 +252,16 @@ def block_table() -> tuple[np.ndarray, np.ndarray]:
     index = np.arange(1 << 16, dtype=np.uint16)
     a = (index >> 8).astype(np.uint8)
     b = (index & 0xFF).astype(np.uint8)
+    # encrypt_block's steps over every block at once, a 0 divisor replaced by 1:
+    # the all-zero block's gcd is 0, and 0 // 1 gives its remaining products 0
     g = np.gcd(a, b)
-    safe_g = np.where(g == 0, 1, g).astype(np.uint8)
-    rp_first = a // safe_g
-    rp_second = b // safe_g
-    safe_rp = np.where(rp_first == 0, 1, rp_first).astype(np.uint8)
-    has_rp = rp_first > 0
-    records = np.empty((len(g), RECORD_SIZE), dtype=np.uint8)
-    records[:, 0] = 255 - a  # zero-bit weight sum of x is 255 - x
-    records[:, 1] = 255 - b
-    records[:, 2] = rp_first
-    records[:, 3] = np.where(has_rp, rp_second // safe_rp, 0)
-    records[:, 4] = np.where(has_rp, rp_second % safe_rp, rp_second)
+    rp_first, rp_second = a // np.maximum(g, 1), b // np.maximum(g, 1)
+    quotient, remainder = np.divmod(rp_second, np.maximum(rp_first, 1))
+    # a first byte of 0, as in the scalar branch: rp_second parked in the remainder
+    quotient = np.where(rp_first == 0, 0, quotient)
+    remainder = np.where(rp_first == 0, rp_second, remainder)
+    # zero-bit weight sum of x is 255 - x
+    records = np.stack([255 - a, 255 - b, rp_first, quotient, remainder], axis=1)
     g.setflags(write=False)
     records.setflags(write=False)
     return g, records

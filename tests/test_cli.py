@@ -156,6 +156,24 @@ def test_failed_command_keeps_a_fifo_output(tmp_path, command, exit_code):
     assert not new_ct.exists()  # a regular file it opened is still removed
 
 
+@pytest.mark.parametrize("target", ["regular", "/proc/self/fd/1"])
+def test_failed_command_keeps_a_linked_output(tmp_path, target):
+    # --out /dev/stdout with stdout redirected to a file is a link to a
+    # regular file; as root, removing it would remove /dev/stdout
+    if target.startswith("/proc") and not Path("/proc/self/fd").is_dir():
+        pytest.skip("no /proc/self/fd")
+    cipher, key = encrypt_file(bytes([50, 100]) * 4)
+    ct, short_key, link = (tmp_path / n for n in ("ct", "short", "link"))
+    ct.write_bytes(cipher)
+    short_key.write_bytes(key.to_bytes()[:-3])  # a payload cut short: exit 2
+    link.symlink_to(tmp_path / target)  # an absolute target replaces tmp_path
+    argv = [sys.executable, "-m", "gcdcipher.cli", "decrypt", ct, short_key, "--out", link]
+    with open(tmp_path / "stdout", "wb") as stdout:  # the child's fd 1 is a regular file
+        proc = subprocess.run(argv, env=CHILD_ENV, stdout=stdout, stderr=subprocess.PIPE)
+    assert proc.returncode == 2, proc.stderr
+    assert link.is_symlink()
+
+
 @pytest.mark.parametrize("argv", [["encrypt", "."], ["encrypt", "/"], ["decrypt", ".", "key"]])
 def test_input_without_a_name_is_an_error_not_a_traceback(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
