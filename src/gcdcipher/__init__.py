@@ -5,18 +5,14 @@ cipher byte and a five-byte key record makes the step reversible. The
 package provides the block and file codecs, the key-file wire format,
 an evaluation harness (chi-square, avalanche, compression, timing), and
 a leakage audit showing that the key file alone reveals the plaintext.
+
+Importing the package loads only the pure-Python ``block`` module. The
+``filecodec`` and ``analysis`` names load numpy, so each is imported from
+its module on first use.
 """
 
-from .analysis import (
-    AnalysisReport,
-    analyze_file,
-    audit_stream,
-    avalanche,
-    chi_square,
-    frequency_table,
-    hamming_distance,
-    keyfile_leakage_audit,
-)
+import importlib
+
 from .block import (
     RECORD_SIZE,
     KeyRecord,
@@ -24,21 +20,6 @@ from .block import (
     decrypt_block,
     encrypt_block,
     zero_weight,
-)
-from .filecodec import (
-    HEADER_SIZE,
-    MAGIC,
-    VERSION,
-    ConsistencyError,
-    CorruptRecordError,
-    KeyFile,
-    KeyFileFormatError,
-    block_count,
-    decrypt_file,
-    decrypt_stream,
-    encrypt_file,
-    encrypt_stream,
-    parse_key_file,
 )
 
 __version__ = "0.1.0"
@@ -72,3 +53,23 @@ __all__ = [
     "parse_key_file",
     "zero_weight",
 ]
+
+# the module of each name that is imported on first use
+_LAZY = dict.fromkeys(
+    ["AnalysisReport", "analyze_file", "audit_stream", "avalanche", "chi_square",
+     "frequency_table", "hamming_distance", "keyfile_leakage_audit"],
+    "analysis",
+) | dict.fromkeys(
+    ["HEADER_SIZE", "MAGIC", "VERSION", "ConsistencyError", "CorruptRecordError", "KeyFile",
+     "KeyFileFormatError", "block_count", "decrypt_file", "decrypt_stream", "encrypt_file",
+     "encrypt_stream", "parse_key_file"],
+    "filecodec",
+)
+
+
+def __getattr__(name):
+    # not cached: a name rebound in its module (a test's monkeypatch, a
+    # tracing wrapper) reads the same through the package
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -6,6 +6,7 @@ that is the same file as an input or another output is refused before
 anything is opened. A failed command removes each regular file it opened
 for output, and never a path it did not open, a device, a pipe or a
 symbolic link, such as ``/dev/stdout`` redirected to a file.
+``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, unless already set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# numpy's bundled OpenBLAS starts a worker thread per extra CPU when it loads,
+# and that thread spins for about 0.1 s of CPU, though the codec makes no BLAS
+# call. A value the user set wins; corpus --jobs workers inherit this one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .analysis import AnalysisReport, analyze_file, audit_stream
 from .block import MalformedRecordError, decrypt_block, encrypt_block, zero_weight

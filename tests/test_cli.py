@@ -566,6 +566,37 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def run_fresh(script, **env):
+    """Stdout of script in a fresh interpreter whose OPENBLAS_NUM_THREADS is only env's."""
+    base = {k: v for k, v in CHILD_ENV.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", script], env={**base, **env}, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_thread():
+    script = ("import os, gcdcipher.cli\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    assert run_fresh(script) == "1 1\n"
+
+
+def test_cli_import_keeps_a_blas_thread_count_the_user_set():
+    script = "import os, gcdcipher.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_fresh(script, OPENBLAS_NUM_THREADS="2") == "2\n"
+
+
+def test_package_import_loads_no_numpy_and_sets_no_environment():
+    script = """
+import os, sys, gcdcipher
+assert "numpy" not in sys.modules, "numpy loaded"
+assert "OPENBLAS_NUM_THREADS" not in os.environ, "environment changed"
+assert gcdcipher.encrypt_file(b"in")[0] == b"\\x05"
+"""
+    run_fresh(script)
+
+
 def child_minor_faults(tmp_path, argv):
     """Minor page faults of one fresh `python -m gcdcipher.cli` process."""
     log = tmp_path / "stderr"
