@@ -7,11 +7,9 @@ an evaluation harness (chi-square, avalanche, compression, timing), and
 a leakage audit showing that the key file alone reveals the plaintext.
 
 Importing the package loads only the pure-Python ``block`` module. The
-``filecodec`` and ``analysis`` names load numpy, so each is imported from
-its module on first use.
+``filecodec`` and ``analysis`` modules load numpy, so the module
+``__getattr__`` serves the other names in ``__all__`` from them on first use.
 """
-
-import importlib
 
 from .block import (
     RECORD_SIZE,
@@ -54,22 +52,14 @@ __all__ = [
     "zero_weight",
 ]
 
-# the module of each name that is imported on first use
-_LAZY = dict.fromkeys(
-    ["AnalysisReport", "analyze_file", "audit_stream", "avalanche", "chi_square",
-     "frequency_table", "hamming_distance", "keyfile_leakage_audit"],
-    "analysis",
-) | dict.fromkeys(
-    ["HEADER_SIZE", "MAGIC", "VERSION", "ConsistencyError", "CorruptRecordError", "KeyFile",
-     "KeyFileFormatError", "block_count", "decrypt_file", "decrypt_stream", "encrypt_file",
-     "encrypt_stream", "parse_key_file"],
-    "filecodec",
-)
-
 
 def __getattr__(name):
     # not cached: a name rebound in its module (a test's monkeypatch, a
     # tracing wrapper) reads the same through the package
-    if name not in _LAZY:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    from . import filecodec
+    if hasattr(filecodec, name):  # first: analysis re-binds four of its names
+        return getattr(filecodec, name)
+    from . import analysis
+    return getattr(analysis, name)

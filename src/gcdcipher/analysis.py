@@ -23,6 +23,7 @@ memory.
 from __future__ import annotations
 
 import functools
+import operator
 import time
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
@@ -122,6 +123,8 @@ def avalanche(plaintext: bytes, flip_mask: int = FLIP_MASK) -> float:
     data = memoryview(plaintext).cast("B")
     if not data:
         raise ValueError("avalanche is undefined for an empty plaintext")
+    # a numpy integer shifts within its own width: np.uint8(8) << 8 is 0
+    flip_mask = operator.index(flip_mask)
     if not 0 <= flip_mask <= 255:
         raise ValueError(f"flip mask out of range: {flip_mask}")
     # one pair of output buffers for every chunk, sized to the first, the largest

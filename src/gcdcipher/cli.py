@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from .analysis import AnalysisReport, analyze_file, audit_stream
+from .analysis import analyze_file, audit_stream
 from .block import MalformedRecordError, decrypt_block, encrypt_block, zero_weight
 from .filecodec import (
     HEADER_SIZE,
@@ -152,6 +152,9 @@ def cmd_encrypt(args) -> int:
     key_path = Path(args.key or src_path.parent / ("key_" + src_path.name))
     start = time.perf_counter()
     with open(src_path, "rb") as src, _outputs([src_path], ct_path, key_path) as (ct, key):
+        # refused before anything is written: the key's header is patched last
+        if not key.seekable():
+            raise OSError(f"refusing to write {key_path}: a key output must be seekable")
         length = encrypt_stream(src, ct, key)
     elapsed = time.perf_counter() - start
     blocks = block_count(length)
@@ -194,20 +197,17 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _corpus_entry(path: Path) -> tuple[str, AnalysisReport | None, str | None]:
-    """Analyze one file; failures are reported, not raised, so a batch survives."""
+def _corpus_entry(path: Path) -> tuple[list[str], str | None]:
+    """Analyze one file into its CSV row and error; a failure leaves the
+    row's metric cells blank and is reported, not raised, so a batch survives."""
     try:
-        report = analyze_file(path.read_bytes())
-        return path.name, report, None
+        report, error = analyze_file(path.read_bytes()), None
     except Exception as exc:
-        return path.name, None, str(exc)
-
-
-def _corpus_row(name: str, report: AnalysisReport | None) -> list[str]:
-    return [name] + [
+        report, error = None, str(exc)
+    return [path.name] + [
         "" if report is None else format(getattr(report, field), spec)
         for _, field, spec in _REPORT_COLUMNS
-    ]
+    ], error
 
 
 def cmd_corpus(args) -> int:
@@ -233,11 +233,11 @@ def cmd_corpus(args) -> int:
         failures = 0
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for name, report, error in results:
-            writer.writerow(_corpus_row(name, report))
+        for row, error in results:
+            writer.writerow(row)
             if error is not None:
                 failures += 1
-                print(f"error: {name}: {error}", file=sys.stderr)
+                print(f"error: {row[0]}: {error}", file=sys.stderr)
     print(f"{args.csv}: {len(results)} rows, {failures} failed", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_IO
 

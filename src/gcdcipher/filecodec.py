@@ -92,6 +92,8 @@ class KeyFile:
     record_bytes: bytes
 
     def __post_init__(self) -> None:
+        if self.plaintext_length < 0:
+            raise KeyFileFormatError(f"negative plaintext length {self.plaintext_length}")
         expected = block_count(self.plaintext_length) * RECORD_SIZE
         if len(self.record_bytes) != expected:
             raise KeyFileFormatError(

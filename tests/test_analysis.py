@@ -216,6 +216,8 @@ def test_avalanche_matches_scalar_oracle(data):
 def test_avalanche_equals_two_encryption_definition(length, mask):
     data = random.Random(length).randbytes(length)
     assert avalanche(data, flip_mask=mask) == avalanche_oracle(data, mask)
+    # a numpy integer mask is the same mask, though it shifts within 8 bits
+    assert avalanche(data, flip_mask=np.uint8(mask)) == avalanche_oracle(data, mask)
 
 
 def test_avalanche_no_flip_is_zero():

@@ -156,6 +156,21 @@ def test_failed_command_keeps_a_fifo_output(tmp_path, command, exit_code):
     assert not new_ct.exists()  # a regular file it opened is still removed
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_encrypt_refuses_a_key_output_that_is_not_seekable(tmp_path):
+    # the key's header is patched last, so a pipe would get a length-0 header
+    src, ct = tmp_path / "in.txt", tmp_path / "ct.bin"
+    src.write_bytes(b"hello world")
+    argv = [sys.executable, "-m", "gcdcipher.cli", "encrypt", src, "--ct", ct, "--key",
+            "/dev/stdout"]
+    # capture_output makes the child's stdout a pipe
+    proc = subprocess.run(argv, env=CHILD_ENV, capture_output=True, timeout=60)
+    assert proc.stdout == b""
+    assert proc.returncode == 1, proc.stderr
+    assert b"/dev/stdout" in proc.stderr
+    assert not ct.exists()
+
+
 @pytest.mark.parametrize("target", ["regular", "/proc/self/fd/1"])
 def test_failed_command_keeps_a_linked_output(tmp_path, target):
     # --out /dev/stdout with stdout redirected to a file is a link to a

@@ -254,6 +254,8 @@ def test_key_file_rejects_inconsistent_payload():
         KeyFile(2, b"")
     with pytest.raises(KeyFileFormatError):
         KeyFile(0, TABLE_RECORD)
+    with pytest.raises(KeyFileFormatError):  # block_count(-1) is 0
+        KeyFile(-1, b"")
 
 
 @pytest.mark.parametrize("cipher", [b"\x05\x05", b""], ids=["too-long", "too-short"])

@@ -19,6 +19,9 @@ def test_star_import_binds_every_public_name():
 def test_a_name_rebound_in_its_module_reads_the_same_through_the_package(monkeypatch):
     monkeypatch.setattr(filecodec, "encrypt_file", lambda data: "rebound")
     assert gcdcipher.encrypt_file(b"in") == "rebound"
+    # analysis imports encrypt_file from filecodec; the package reads filecodec's
+    monkeypatch.setattr(analysis, "encrypt_file", lambda data: "analysis")
+    assert gcdcipher.encrypt_file is filecodec.encrypt_file
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "block_table"])  # block_table: filecodec only
