@@ -10,7 +10,8 @@ does not grow with the file. The results are exact: a block's output
 depends on that block alone, and frequency counts and bit differences add
 up chunk by chunk. ``audit_stream`` takes a key stream one chunk at a
 time from ``filecodec._key_files``, each chunk a key file of its own, and
-recovers each with ``keyfile_leakage_audit``.
+recovers each with ``keyfile_leakage_audit``: ``decrypt``'s own kernel,
+``filecodec._decode_blocks``, given no cipher to check against.
 
 ``avalanche`` encrypts nothing. The block domain is only 2^16, so it looks
 up both encryptions of each block, of the original and of the flipped
@@ -154,11 +155,7 @@ def keyfile_leakage_audit(key: KeyFile) -> bytes:
     the whole file. This is a structural flaw of the scheme, demonstrated
     rather than fixed.
     """
-    recs = np.frombuffer(key.record_bytes, dtype=np.uint8).reshape(-1, RECORD_SIZE)
-    plain = np.empty(2 * len(recs), dtype=np.uint8)
-    plain[0::2] = 255 - recs[:, 0]
-    plain[1::2] = 255 - recs[:, 1]
-    return plain[: key.plaintext_length].tobytes()
+    return filecodec._decode_blocks(None, key.record_bytes, 0)[: key.plaintext_length].tobytes()
 
 
 def audit_stream(key_in: BinaryIO, out: BinaryIO) -> int:

@@ -21,7 +21,7 @@ BIT_WEIGHTS = (128, 64, 32, 16, 8, 4, 2, 1)
 
 
 class MalformedRecordError(ValueError):
-    """A key record reconstructs a sub-block outside the 8-bit range."""
+    """A key record's gcd arithmetic does not rebuild its zero-weight complement."""
 
 
 class KeyRecord(NamedTuple):
@@ -70,20 +70,16 @@ def encrypt_block(first: int, second: int) -> tuple[int, KeyRecord]:
 
 
 def decrypt_block(cipher: int, record: KeyRecord) -> tuple[int, int]:
-    """Invert encrypt_block, rebuilding both plaintext bytes.
-
-    Rejects records whose reconstruction leaves the 8-bit range; no record
-    produced by encrypt_block can do that, so an overflow means the key
-    material was corrupted or forged.
-    """
+    """Invert encrypt_block: (255 - zero_weight_first, 255 - zero_weight_second),
+    returned only when the gcd arithmetic rebuilds that pair and both lie in
+    0..255, as for every record encrypt_block produces; else the key
+    material was corrupted or forged."""
     _check_byte(cipher)
-    first = record.rp_first * cipher
-    if not 0 <= first <= 255:
-        raise MalformedRecordError(f"first sub-block reconstructs to {first}, outside 0..255")
-    rp_second = record.rp_first * record.quotient + record.remainder
-    second = rp_second * cipher
-    if not 0 <= second <= 255:
-        raise MalformedRecordError(f"second sub-block reconstructs to {second}, outside 0..255")
+    zero_first, zero_second, rp_first, quotient, remainder = record
+    first, second = rp_first * cipher, (rp_first * quotient + remainder) * cipher
+    rebuilt = first == 255 - zero_first and second == 255 - zero_second
+    if not (rebuilt and 0 <= first <= 255 and 0 <= second <= 255):
+        raise MalformedRecordError(f"rebuilt ({first}, {second}), not the zero-weight complement")
     return first, second
 
 

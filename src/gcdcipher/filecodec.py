@@ -22,8 +22,9 @@ outputs (3x the input) plus about half a MiB of per-chunk working memory,
 and ``decrypt_file`` its output plus about the same. ``_record_chunks`` is
 the one reader of a key's record payload, and makes every check of its size.
 ``_decode_stream`` reads the key through it, and so does ``_key_files``,
-which yields each chunk of a key stream as a key file of its own for the
-key-only recovery of ``analysis.audit_stream``.
+which yields each chunk of a key stream as a key file of its own for
+``analysis.audit_stream``. Both turn records into plaintext with
+``_decode_blocks``, which checks the gcd arithmetic only when decrypting.
 
 ``_encode_stream`` allocates its chunk outputs once per call, sized to the
 first chunk, and gathers every chunk into them: outputs allocated per
@@ -128,8 +129,10 @@ def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> in
     """Encrypt src chunk by chunk; returns the plaintext byte count.
 
     key_out must be seekable: the header is written up front with a
-    placeholder length and patched once the input is exhausted.
+    placeholder length and patched once the input is exhausted; a sink that
+    cannot seek fails before anything is written.
     """
+    key_out.seek(0)
     key_out.write(_header(0))
     total = _encode_stream(src, cipher_out, key_out)
     key_out.seek(0)
@@ -186,8 +189,12 @@ def _decode_stream(
                 f"cipher ends after block {done + len(cipher)}, "
                 f"key file implies {blocks} blocks"
             )
-        # only the last chunk's slice cuts: it drops a self-paired tail's duplicate
-        out.write(_decode_blocks(cipher, records, done)[: plaintext_length - 2 * done])
+        plain, keep = _decode_blocks(cipher, records, done), plaintext_length - 2 * done
+        # only the last chunk's slice cuts: it drops a self-paired tail's duplicate,
+        # so a tail that is not self-paired means the length was edited from even
+        if keep < len(plain) and plain[-1] != plain[-2]:
+            raise CorruptRecordError(f"key record {blocks - 1} is not self-paired", blocks - 1)
+        out.write(plain[:keep])
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
 
@@ -280,24 +287,26 @@ def _block_index(data: bytes) -> np.ndarray:
     return index
 
 
-def _decode_blocks(cipher: bytes, records: bytes, first_block: int) -> np.ndarray:
-    # one chunk: returns its 2 * len(cipher) plaintext bytes as a flat array,
-    # so the caller can drop a self-paired tail byte before writing them
-    g = np.frombuffer(cipher, dtype=np.uint8)
+def _decode_blocks(cipher: bytes | None, records: bytes, first_block: int) -> np.ndarray:
+    """One chunk's plaintext, flat, so the caller can drop a self-paired tail
+    byte: the complement of the zero-weight fields. Given the cipher, the first
+    block whose gcd arithmetic does not rebuild it raises CorruptRecordError."""
     recs = np.frombuffer(records, dtype=np.uint8).reshape(-1, RECORD_SIZE)
-    rp_first = recs[:, 2]
-    # widen inside the ufuncs: casting the record columns first costs 12 bytes a block
-    first = np.multiply(rp_first, g, dtype=np.uint16)  # at most 255 * 255
-    second = np.multiply(rp_first, recs[:, 3], dtype=np.uint32)
-    second += recs[:, 4]
-    second *= g
-    bad = (first > 255) | (second > 255)
-    if bad.any():
-        index = first_block + int(np.argmax(bad))
-        raise CorruptRecordError(f"key record {index} reconstructs a value above 255", index)
-    plain = np.empty((len(g), 2), dtype=np.uint8)
-    plain[:, 0] = first
-    plain[:, 1] = second
+    plain = np.empty((len(recs), 2), dtype=np.uint8)
+    for k in range(2):  # a column at a time: one invert over both takes four times as long
+        np.invert(recs[:, k], out=plain[:, k])  # a byte's complement, 255 minus it
+    if cipher is not None:
+        g = np.frombuffer(cipher, dtype=np.uint8)
+        rp_first = recs[:, 2]
+        # widen inside the ufuncs: casting the record columns first costs 12 bytes a block
+        first = np.multiply(rp_first, g, dtype=np.uint16)  # at most 255 * 255
+        second = np.multiply(rp_first, recs[:, 3], dtype=np.uint32)
+        second += recs[:, 4]
+        second *= g
+        bad = (first != plain[:, 0]) | (second != plain[:, 1])
+        if bad.any():
+            index = first_block + int(np.argmax(bad))
+            raise CorruptRecordError(f"key record {index} disagrees with its cipher byte", index)
     return plain.reshape(-1)
 
 

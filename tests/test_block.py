@@ -151,6 +151,18 @@ def test_decrypt_block_rejects_negative_reconstruction():
         decrypt_block(5, KeyRecord(150, 145, -2, 0, 0))
 
 
+def test_decrypt_block_returns_the_complement_its_arithmetic_rebuilds():
+    assert decrypt_block(5, KeyRecord(150, 145, 21, 1, 1)) == (105, 110)
+    # damage confined to a zero-weight field: the arithmetic still gives (105, 110)
+    with pytest.raises(MalformedRecordError):
+        decrypt_block(5, KeyRecord(151, 145, 21, 1, 1))
+    with pytest.raises(MalformedRecordError):
+        decrypt_block(5, KeyRecord(150, 144, 21, 1, 1))
+    # a zero-weight field outside 0..255 has no byte for a complement
+    with pytest.raises(MalformedRecordError):
+        decrypt_block(1, KeyRecord(256, 255, -1, 0, 0))  # rebuilds (-1, 0), its own complement
+
+
 def test_key_record_bytes_round_trip():
     rec = KeyRecord(150, 145, 21, 1, 1)
     raw = bytes(rec)

@@ -263,6 +263,17 @@ def test_decrypt_corrupt_record_exits_3_with_block_index(tmp_path, capsys):
     assert "record 2" in capsys.readouterr().err
 
 
+def test_decrypt_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
+    # the last byte would be dropped: the last record of an odd length is self-paired
+    cipher, key = encrypt_file(b"hello!")
+    (tmp_path / "ct").write_bytes(cipher)
+    (tmp_path / "key").write_bytes(header(5) + key.record_bytes)
+    out = tmp_path / "pt"
+    assert run_cli(["decrypt", str(tmp_path / "ct"), str(tmp_path / "key"), "--out", str(out)]) == 3
+    assert "record 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_recovers_plaintext(tmp_path, capsys):
     data = b"top secret contents\x00\xff!"
     _, key = encrypt_file(data)

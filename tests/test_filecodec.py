@@ -12,7 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gcdcipher
-from gcdcipher.block import KeyRecord, MalformedRecordError, decrypt_block, encrypt_block
+from gcdcipher import filecodec
+from gcdcipher.block import (
+    RECORD_SIZE,
+    KeyRecord,
+    MalformedRecordError,
+    decrypt_block,
+    encrypt_block,
+)
 from gcdcipher.filecodec import (
     HEADER_SIZE,
     MAGIC,
@@ -296,6 +303,87 @@ def test_single_byte_mutations_that_overflow_are_caught():
     assert found > 0
 
 
+def decode_rule(g, zw0, zw1, rp_first, quotient, remainder):
+    """Reference decode rule, per block, over integer arrays: accept exactly
+    when the gcd arithmetic rebuilds the complement of the zero-weight fields."""
+    return (rp_first * g == 255 - zw0) & ((rp_first * quotient + remainder) * g == 255 - zw1)
+
+
+def test_no_single_byte_edit_of_any_block_decrypts_silently():
+    """Every single-byte XOR of each of the 6 output bytes of all 65,536 blocks,
+    100,270,080 cases: none is accepted with a wrong plaintext, and the kernel
+    agrees with the rule on every edited table."""
+    cipher, records = block_table()
+    fields = [cipher.astype(np.int32), *records.astype(np.int32).T]  # cipher byte, record
+    counts = {"silent": 0, "ignored": 0, "caught": 0}
+    for field in range(1 + RECORD_SIZE):
+        edited_cipher, edited_records = cipher.copy(), records.copy()
+        edited_column = edited_cipher if field == 0 else edited_records[:, field - 1]
+        for flip in range(1, 256):
+            edited = list(fields)
+            edited[field] = edited_column[...] = fields[field] ^ flip
+            ok = decode_rule(*edited)
+            # an accepted plaintext is the complement of the zero-weight fields
+            wrong = (edited[1] != fields[1]) | (edited[2] != fields[2])
+            counts["silent"] += int(np.count_nonzero(ok & wrong))
+            counts["ignored"] += int(np.count_nonzero(ok & ~wrong))
+            counts["caught"] += len(ok) - int(np.count_nonzero(ok))
+            # the kernel accepts the blocks the rule accepts, with the complement...
+            plain = filecodec._decode_blocks(edited_cipher[ok], edited_records[ok], 0)
+            assert np.array_equal(plain, 255 - edited_records[ok, :2].reshape(-1))
+            # ...and over the whole table names the first block the rule rejects
+            with pytest.raises(CorruptRecordError) as excinfo:
+                filecodec._decode_blocks(edited_cipher, edited_records, 0)
+            assert excinfo.value.block_index == int(np.argmin(ok))
+    # ignored: edits that change nothing decoded, such as the quotient of a block
+    # whose first byte is 0; 0.066% of the cases
+    assert counts == {"silent": 0, "ignored": 66_045, "caught": 100_204_035}
+    assert sum(counts.values()) == 6 * 255 * (1 << 16)
+
+
+@given(
+    st.binary(min_size=1, max_size=300),
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=255),
+    st.integers(min_value=0, max_value=1 << 40),
+)
+def test_decode_kernel_rejects_exactly_where_the_rule_does(data, position, flip, first_block):
+    """One edited byte of a chunk's cipher or records: the kernel accepts when
+    the rule accepts every block, and otherwise names the first it rejects."""
+    cipher, key = encrypt_file(data)
+    edited = bytearray(cipher + key.record_bytes)
+    edited[position % len(edited)] ^= flip
+    cipher, records = bytes(edited[: len(cipher)]), bytes(edited[len(cipher) :])
+    g = np.frombuffer(cipher, np.uint8).astype(np.int32)
+    recs = np.frombuffer(records, np.uint8).reshape(-1, RECORD_SIZE).astype(np.int32)
+    ok = decode_rule(g, *recs.T)
+    if ok.all():
+        plain = filecodec._decode_blocks(cipher, records, first_block)
+        assert np.array_equal(plain, 255 - recs[:, :2].reshape(-1))
+    else:
+        with pytest.raises(CorruptRecordError) as excinfo:
+            filecodec._decode_blocks(cipher, records, first_block)
+        assert excinfo.value.block_index == first_block + int(np.argmin(ok))
+
+
+def test_decrypt_file_refuses_an_even_length_edited_to_odd(monkeypatch):
+    """An odd length needs a self-paired last record; the one header edit that
+    passes is odd to even, which appends a copy of the last byte."""
+    cipher, key = encrypt_file(b"hello!")
+    with pytest.raises(CorruptRecordError) as excinfo:
+        decrypt_file(cipher, KeyFile(5, key.record_bytes))
+    assert excinfo.value.block_index == 2
+    assert "key record 2 " in str(excinfo.value)
+    cipher, key = encrypt_file(b"hello")
+    assert decrypt_file(cipher, KeyFile(6, key.record_bytes)) == b"helloo"
+    # the last chunk's one block, named by its global index
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    cipher, key = encrypt_file(bytes(range(34)))
+    with pytest.raises(CorruptRecordError) as excinfo:
+        decrypt_file(cipher, KeyFile(33, key.record_bytes))
+    assert excinfo.value.block_index == 16
+
+
 def test_encrypt_stream_matches_encrypt_file(monkeypatch):
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
     data = bytes(range(256)) * 4 + b"\x2a"  # odd, spans many chunks
@@ -329,6 +417,27 @@ class CopyingSink:
         for position, piece in self.writes:
             out[position : position + len(piece)] = piece
         return bytes(out)
+
+
+class UnseekableSink(io.RawIOBase):
+    """A writable raw stream that keeps every byte written and cannot seek."""
+
+    def __init__(self):
+        self.written = bytearray()
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        self.written += bytes(b)
+        return len(b)
+
+
+def test_encrypt_stream_fails_before_writing_to_a_key_sink_that_cannot_seek():
+    ct, key_out = UnseekableSink(), UnseekableSink()
+    with pytest.raises(io.UnsupportedOperation):
+        encrypt_stream(io.BytesIO(b"hello world"), ct, key_out)
+    assert (len(ct.written), len(key_out.written)) == (0, 0)
 
 
 @pytest.mark.parametrize("length", [17, 33, 1001])
