@@ -161,11 +161,11 @@ def keyfile_leakage_audit(key: KeyFile) -> bytes:
 def audit_stream(key_in: BinaryIO, out: BinaryIO) -> int:
     """Recover the plaintext from a key stream alone; returns bytes written.
 
-    Works one chunk at a time, so memory does not grow with the file. A
-    chunk's records under a header naming the chunk's plaintext length are
-    a key file of their own, so each chunk is recovered as one. A record
-    payload that ends early or has trailing bytes raises KeyFileFormatError
-    after the chunks before the fault are written.
+    Works one chunk at a time, so memory does not grow with the file: a
+    chunk's records under a header naming its plaintext length are a key
+    file of their own. Raises decrypt's errors for a key, after the chunks
+    before the fault are written: KeyFileFormatError for a payload of the
+    wrong size, CorruptRecordError for an odd length not self-paired.
     """
     written = 0
     for key in filecodec._key_files(key_in):

@@ -16,6 +16,7 @@ import contextlib
 import csv
 import io
 import os
+import struct
 import sys
 import time
 from pathlib import Path
@@ -25,9 +26,7 @@ from pathlib import Path
 # call. A value the user set wins; corpus --jobs workers inherit this one.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np  # noqa: E402
-
-from .analysis import analyze_file, audit_stream
+from .analysis import analyze_file, audit_stream  # noqa: E402
 from .block import MalformedRecordError, decrypt_block, encrypt_block, zero_weight
 from .filecodec import (
     HEADER_SIZE,
@@ -257,7 +256,7 @@ def cmd_selftest(args=None) -> int:
             except MalformedRecordError:
                 pass
     ciphers = bytes(block_ciphers)
-    every_block = np.arange(1 << 16, dtype=">u2").tobytes()  # a << 8 | b big-endian is (a, b)
+    every_block = struct.pack(">65536H", *range(1 << 16))  # a << 8 | b big-endian is (a, b)
     key = KeyFile(len(every_block), bytes(block_records))
     # the encrypt and decrypt commands run these paths, not the scalar functions
     encrypt_ok = encrypt_file(every_block) == (ciphers, key)

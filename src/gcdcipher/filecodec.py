@@ -20,10 +20,11 @@ consistency check. The in-memory ``encrypt_file`` and ``decrypt_file`` run
 it over ``io.BytesIO`` buffers, so a whole-file ``encrypt_file`` holds its
 outputs (3x the input) plus about half a MiB of per-chunk working memory,
 and ``decrypt_file`` its output plus about the same. ``_record_chunks`` is
-the one reader of a key's record payload, and makes every check of its size.
-``_decode_stream`` reads the key through it, and so does ``_key_files``,
-which yields each chunk of a key stream as a key file of its own for
-``analysis.audit_stream``. Both turn records into plaintext with
+the one reader of a key's record payload, and makes every key check that
+needs no cipher: the payload's size, and a self-paired last record for an
+odd length. ``_decode_stream`` reads the key through it, and so does
+``_key_files``, which yields each chunk of a key stream as a key file of
+its own for ``analysis.audit_stream``. Both turn records into plaintext with
 ``_decode_blocks``, which checks the gcd arithmetic only when decrypting.
 
 ``_encode_stream`` allocates its chunk outputs once per call, sized to the
@@ -181,7 +182,7 @@ def _decode_stream(
 ) -> None:
     # the one decryption loop, and every cipher/key consistency check
     blocks = block_count(plaintext_length)
-    for done, records in _record_chunks(records_in, plaintext_length):
+    for done, records, keep in _record_chunks(records_in, plaintext_length):
         k = len(records) // RECORD_SIZE
         cipher = _read_full(cipher_in, k)
         if len(cipher) < k:
@@ -189,12 +190,7 @@ def _decode_stream(
                 f"cipher ends after block {done + len(cipher)}, "
                 f"key file implies {blocks} blocks"
             )
-        plain, keep = _decode_blocks(cipher, records, done), plaintext_length - 2 * done
-        # only the last chunk's slice cuts: it drops a self-paired tail's duplicate,
-        # so a tail that is not self-paired means the length was edited from even
-        if keep < len(plain) and plain[-1] != plain[-2]:
-            raise CorruptRecordError(f"key record {blocks - 1} is not self-paired", blocks - 1)
-        out.write(plain[:keep])
+        out.write(_decode_blocks(cipher, records, done)[:keep])
     if cipher_in.read(1):
         raise ConsistencyError(f"cipher continues past the {blocks} blocks implied by the key file")
 
@@ -207,18 +203,18 @@ def _key_files(key_in: BinaryIO) -> Iterator[KeyFile]:
     plaintext_length = _parse_header(_read_full(key_in, HEADER_SIZE))
     size = HEADER_SIZE + min(block_count(plaintext_length), CHUNK_BLOCKS) * RECORD_SIZE
     buf = memoryview(bytearray(size))
-    for done, records in _record_chunks(key_in, plaintext_length):
+    for _, records, keep in _record_chunks(key_in, plaintext_length):
         chunk = buf[: HEADER_SIZE + len(records)]
-        chunk[:HEADER_SIZE] = _header(min(2 * CHUNK_BLOCKS, plaintext_length - 2 * done))
+        chunk[:HEADER_SIZE] = _header(keep)
         chunk[HEADER_SIZE:] = records
         del records  # with _record_chunks' own del, freed before the next read
         yield parse_key_file(chunk)
 
 
-def _record_chunks(records_in: BinaryIO, plaintext_length: int) -> Iterator[tuple[int, bytes]]:
-    # the one reader of a key's record payload: yields each chunk's first
-    # block and its CHUNK_BLOCKS records, the last chunk's fewer, and makes
-    # every check of the payload's size
+def _record_chunks(records_in: BinaryIO, plaintext_length: int) -> Iterator[tuple[int, bytes, int]]:
+    # the one reader of a key's record payload, and every key check that needs
+    # no cipher: yields each chunk's first block, its CHUNK_BLOCKS records (the
+    # last chunk's fewer) and the count of plaintext bytes they hold
     blocks = block_count(plaintext_length)
     for done in range(0, blocks, CHUNK_BLOCKS):
         size = min(CHUNK_BLOCKS, blocks - done) * RECORD_SIZE
@@ -226,7 +222,12 @@ def _record_chunks(records_in: BinaryIO, plaintext_length: int) -> Iterator[tupl
         if len(records) < size:
             block = done + len(records) // RECORD_SIZE
             raise KeyFileFormatError(f"key file record payload truncated near block {block}")
-        yield done, records
+        keep = min(2 * CHUNK_BLOCKS, plaintext_length - 2 * done)
+        # an odd count ends in a self-paired record (equal zero-weight bytes), whose
+        # duplicate is dropped; any other means the length was edited from even
+        if keep % 2 and records[-RECORD_SIZE] != records[-RECORD_SIZE + 1]:
+            raise CorruptRecordError(f"key record {blocks - 1} is not self-paired", blocks - 1)
+        yield done, records, keep
         del records  # free the read result before the next chunk is read
     if records_in.read(1):
         raise KeyFileFormatError("trailing bytes after the final key record")

@@ -20,6 +20,7 @@ from gcdcipher.analysis import (
 )
 from gcdcipher.block import encrypt_block
 from gcdcipher.filecodec import (
+    CorruptRecordError,
     KeyFile,
     KeyFileFormatError,
     block_table,
@@ -386,6 +387,16 @@ def test_audit_stream_names_the_block_where_the_payload_ends(monkeypatch):
         with pytest.raises(KeyFileFormatError, match="near block 11"):
             recover(io.BytesIO(damaged), out)
         assert out.getvalue() == data[:16]  # the first chunk, written before the fault
+
+
+def test_audit_stream_refuses_an_even_length_edited_to_odd(monkeypatch):
+    """The last chunk's one block is named by its global index, as decrypt names it."""
+    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
+    _, key = encrypt_file(bytes(range(34)))
+    edited = KeyFile(33, key.record_bytes).to_bytes()
+    with pytest.raises(CorruptRecordError) as excinfo:
+        audit_stream(io.BytesIO(edited), io.BytesIO())
+    assert excinfo.value.block_index == 16
 
 
 def test_audit_stream_memory_does_not_grow_with_the_file(tmp_path):

@@ -7,9 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gcdcipher import cli, filecodec
-from gcdcipher.filecodec import MAGIC, VERSION, CorruptRecordError, encrypt_file
+from gcdcipher.filecodec import HEADER_SIZE, MAGIC, VERSION, CorruptRecordError, encrypt_file
 
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
@@ -272,6 +274,63 @@ def test_decrypt_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
     assert run_cli(["decrypt", str(tmp_path / "ct"), str(tmp_path / "key"), "--out", str(out)]) == 3
     assert "record 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_audit_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
+    # the key alone shows the edit: audit refuses what decrypt refuses
+    _, key = encrypt_file(b"hello!")
+    (tmp_path / "key").write_bytes(header(5) + key.record_bytes)
+    out = tmp_path / "recovered"
+    assert run_cli(["audit", str(tmp_path / "key"), "--out", str(out)]) == 3
+    assert "record 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    # some end in a repeated byte, so an even length edited to odd can pass
+    st.binary(min_size=9, max_size=60) | st.binary(min_size=8, max_size=59).map(lambda b: b + b[-1:]),
+    st.data(),
+)
+def test_key_only_edits_give_decrypt_and_audit_one_outcome(tmp_path_factory, plain, data):
+    """One edit of the key alone: decrypt and audit exit alike, a failure leaves
+    no output, and exit 0 gives the plaintext but for the README's two header
+    edits: odd to even appends a copy of the last byte, even to odd drops it."""
+    n = len(plain)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filecodec, "CHUNK_BLOCKS", 4)  # 8 bytes a chunk, so every input spans two
+        cipher, key = encrypt_file(plain)
+        raw = bytearray(key.to_bytes())
+        kinds = ["header byte", "length by one", "length", "cut", "extend"]
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "header byte":
+            raw[data.draw(st.integers(0, HEADER_SIZE - 1))] ^= data.draw(st.integers(1, 255))
+        elif kind == "length by one":
+            raw[:HEADER_SIZE] = header(n + data.draw(st.sampled_from([-1, 1])))
+        elif kind == "length":
+            raw[:HEADER_SIZE] = header(data.draw(st.integers(0, 2**64 - 1)))
+        elif kind == "cut":
+            del raw[-data.draw(st.integers(1, 40)):]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=40))
+        directory = tmp_path_factory.mktemp("edit")
+        ct, key_path = directory / "ct", directory / "key"
+        ct.write_bytes(cipher)
+        key_path.write_bytes(raw)
+        decrypted, audited = directory / "decrypted", directory / "audited"
+        code = run_cli(["decrypt", str(ct), str(key_path), "--out", str(decrypted)])
+        event(f"{kind}, {'odd' if n % 2 else 'even'} length: exit {code}")
+        assert run_cli(["audit", str(key_path), "--out", str(audited)]) == code
+    assert code in (0, 2, 3)
+    if code:
+        assert not decrypted.exists() and not audited.exists()
+        return
+    recovered = decrypted.read_bytes()
+    assert audited.read_bytes() == recovered
+    length = struct.unpack(">4sBQ", raw[:HEADER_SIZE])[2]
+    assert recovered == (plain + plain[-1:])[:length]
+    assert length == n or (length == n + 1 and n % 2) or (
+        length == n - 1 and not n % 2 and plain[-1] == plain[-2])
 
 
 def test_audit_recovers_plaintext(tmp_path, capsys):
