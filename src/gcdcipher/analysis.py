@@ -8,10 +8,11 @@ wall-clock codec timing, and the key-file leakage audit.
 chunks of ``2 * filecodec.CHUNK_BLOCKS`` plaintext bytes, so their memory
 does not grow with the file. The results are exact: a block's output
 depends on that block alone, and frequency counts and bit differences add
-up chunk by chunk. ``audit_stream`` takes a key stream one chunk at a
-time from ``filecodec._key_files``, each chunk a key file of its own, and
-recovers each with ``keyfile_leakage_audit``: ``decrypt``'s own kernel,
-``filecodec._decode_blocks``, given no cipher to check against.
+up chunk by chunk, and over the 2 MiB ranges of a file that ``corpus`` hands
+to ``_analyze_range`` and sums with ``_report``. ``audit_stream`` takes a
+key stream one chunk at a time from ``filecodec._key_files``, each chunk a
+key file of its own, and recovers each with ``keyfile_leakage_audit``:
+``decrypt``'s own kernel, ``filecodec._decode_blocks``, with no cipher to check.
 
 ``avalanche`` encrypts nothing. The block domain is only 2^16, so it looks
 up both encryptions of each block, of the original and of the flipped
@@ -153,8 +154,9 @@ def keyfile_leakage_audit(key: KeyFile) -> bytes:
     The first two fields of every record are the bitwise complements of
     the block's two plaintext bytes, so complementing them again rebuilds
     the whole file. This is a structural flaw of the scheme, demonstrated
-    rather than fixed.
+    rather than fixed. Raises CorruptRecordError for an odd length not self-paired.
     """
+    filecodec._check_self_paired(key.record_bytes, key.plaintext_length, 0)
     return filecodec._decode_blocks(None, key.record_bytes, 0)[: key.plaintext_length].tobytes()
 
 
@@ -182,12 +184,18 @@ def analyze_file(plaintext: bytes) -> AnalysisReport:
     verified chunk by chunk and a mismatch raises RuntimeError, since it
     can only mean a codec bug.
     """
-    data = memoryview(plaintext).cast("B")
+    return _report([_analyze_range(memoryview(plaintext).cast("B"))])
+
+
+def _analyze_range(data: memoryview) -> tuple:
+    # what one range of a file, starting at an even offset, adds to its report
     if not data:
         raise ValueError("analyze_file needs a non-empty input")
-
-    # first, so the loop's last chunk outputs are not held through it
-    avalanche_percent = avalanche(data)
+    blocks = block_count(len(data))
+    # first, so no chunk output is held through it; as an integer count of changed
+    # bits, which ranges add up exactly, unlike percentages: four float steps, each
+    # off by at most 2**-53 of the count, leave round() exact below 2**50 bits
+    changed = round(avalanche(data) * (8 * (1 + RECORD_SIZE) * blocks) / 100)
     source_counts = np.zeros(256, dtype=np.int64)
     cipher_counts = np.zeros(256, dtype=np.int64)
     encrypt_time = decrypt_time = 0.0
@@ -204,16 +212,19 @@ def analyze_file(plaintext: bytes) -> AnalysisReport:
             raise RuntimeError("round-trip mismatch: decryption did not restore the input")
         source_counts += frequency_table(chunk)
         cipher_counts += frequency_table(cipher)
+    return len(data), blocks, changed, source_counts, cipher_counts, encrypt_time, decrypt_time
 
-    statistic, dof = chi_square(source_counts, cipher_counts)
-    cipher_size = block_count(len(data))
+
+def _report(parts) -> AnalysisReport:
+    size, blocks, changed, sources, ciphers, encrypt_s, decrypt_s = map(sum, zip(*parts))
+    statistic, dof = chi_square(sources, ciphers)
     return AnalysisReport(
-        source_size=len(data),
-        cipher_size=cipher_size,
-        encrypt_time=encrypt_time,
-        decrypt_time=decrypt_time,
+        source_size=size,
+        cipher_size=blocks,
+        encrypt_time=encrypt_s,
+        decrypt_time=decrypt_s,
         chi_square=statistic,
         degrees_of_freedom=dof,
-        avalanche_percent=avalanche_percent,
-        compression_percent=100.0 * (1.0 - cipher_size / len(data)),
+        avalanche_percent=100.0 * changed / (8 * (1 + RECORD_SIZE) * blocks),
+        compression_percent=100.0 * (1.0 - blocks / size),
     )

@@ -7,6 +7,8 @@ anything is opened. A failed command removes each regular file it opened
 for output, and never a path it did not open, a device, a pipe or a
 symbolic link, such as ``/dev/stdout`` redirected to a file.
 ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, unless already set.
+``corpus`` works in ranges of 32 chunks, 2 MiB, of one file each: a large file
+keeps every ``--jobs`` worker busy, and no process holds more of it than a range.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import os
 import struct
 import sys
@@ -26,7 +29,7 @@ from pathlib import Path
 # call. A value the user set wins; corpus --jobs workers inherit this one.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .analysis import analyze_file, audit_stream  # noqa: E402
+from . import analysis, filecodec  # noqa: E402
 from .block import MalformedRecordError, decrypt_block, encrypt_block, zero_weight
 from .filecodec import (
     HEADER_SIZE,
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir", help="directory of input files")
     p.add_argument("--csv", default="corpus_report.csv", help="CSV output path")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at least 1; no more start than there are files or CPUs")
+                   help="worker processes, at least 1; no more than the 2 MiB ranges or the CPUs")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("selftest", help="run the built-in correctness checks")
@@ -184,7 +187,7 @@ def cmd_audit(args) -> int:
     with (open(key_path, "rb") as key,
           _outputs([key_path], *([Path(args.out)] if args.out else [])) as handles):
         out = handles[0] if handles else sys.stdout.buffer
-        length = audit_stream(key, out)
+        length = analysis.audit_stream(key, out)
         out.flush()
     print(
         "warning: the key file leaks the plaintext; its zero-weight fields are "
@@ -196,48 +199,57 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _corpus_entry(path: Path) -> tuple[list[str], str | None]:
-    """Analyze one file into its CSV row and error; a failure leaves the
-    row's metric cells blank and is reported, not raised, so a batch survives."""
+def _corpus_range(task: tuple[Path, int, int]) -> tuple[tuple | None, str | None]:
+    """What bytes [start, stop) of a file add to its report, and the error;
+    a failure is returned, not raised, so a batch survives."""
+    path, start, stop = task
     try:
-        report, error = analyze_file(path.read_bytes()), None
+        with open(path, "rb") as handle:
+            handle.seek(start)
+            if len(data := handle.read(stop - start)) < stop - start:
+                raise OSError(f"{path} shrank while it was analysed")
+        return analysis._analyze_range(memoryview(data)), None
     except Exception as exc:
-        report, error = None, str(exc)
-    return [path.name] + [
-        "" if report is None else format(getattr(report, field), spec)
-        for _, field, spec in _REPORT_COLUMNS
-    ], error
+        return None, str(exc)
 
 
 def cmd_corpus(args) -> int:
     # iterdir raises OSError for a missing directory or one that is a file
     files = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
     csv_path = Path(args.csv)
+    # an empty file is one empty range, refused as analyze_file refuses it
+    step = 64 * filecodec.CHUNK_BLOCKS
+    tasks = [(p, start, min(start + step, size))
+             for p in files for size in [p.stat().st_size] for start in range(0, size or 1, step)]
     # opened first, so a refused or unopenable report stops the run before any
     # analysis; written last, so no forked worker inherits buffered rows. A file
     # name that is not valid text is written back as its original bytes.
     with (_outputs(files, csv_path) as (raw,),
           io.TextIOWrapper(raw, newline="", errors="surrogateescape") as handle):
-        # a worker beyond the files or the CPUs would only start and sit idle
-        jobs = min(args.jobs, len(files), os.cpu_count() or 1)
+        # a worker beyond the ranges or the CPUs would only start and sit idle
+        jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
         if jobs > 1:
             # imported here: the process pool's modules slow every command's start
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_corpus_entry, files))
+                results = list(pool.map(_corpus_range, tasks))
         else:
-            results = [_corpus_entry(p) for p in files]
+            results = [_corpus_range(task) for task in tasks]
 
         failures = 0
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for row, error in results:
-            writer.writerow(row)
-            if error is not None:
+        for path, group in itertools.groupby(zip(tasks, results), lambda pair: pair[0][0]):
+            parts, errors = zip(*(result for _, result in group))
+            errors = [e for e in errors if e is not None]  # the first is reported
+            report = None if errors else analysis._report(parts)
+            writer.writerow([path.name] + ["" if errors else format(getattr(report, field), spec)
+                                           for _, field, spec in _REPORT_COLUMNS])
+            if errors:
                 failures += 1
-                print(f"error: {row[0]}: {error}", file=sys.stderr)
-    print(f"{args.csv}: {len(results)} rows, {failures} failed", file=sys.stderr)
+                print(f"error: {path.name}: {errors[0]}", file=sys.stderr)
+    print(f"{args.csv}: {len(files)} rows, {failures} failed", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_IO
 
 

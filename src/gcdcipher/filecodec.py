@@ -22,9 +22,10 @@ outputs (3x the input) plus about half a MiB of per-chunk working memory,
 and ``decrypt_file`` its output plus about the same. ``_record_chunks`` is
 the one reader of a key's record payload, and makes every key check that
 needs no cipher: the payload's size, and a self-paired last record for an
-odd length. ``_decode_stream`` reads the key through it, and so does
-``_key_files``, which yields each chunk of a key stream as a key file of
-its own for ``analysis.audit_stream``. Both turn records into plaintext with
+odd length, which ``_check_self_paired`` states for the in-memory audit
+too. ``_decode_stream`` reads the key through it, and so does ``_key_files``,
+which yields each chunk of a key stream as a key file of its own for
+``analysis.audit_stream``. Both turn records into plaintext with
 ``_decode_blocks``, which checks the gcd arithmetic only when decrypting.
 
 ``_encode_stream`` allocates its chunk outputs once per call, sized to the
@@ -216,21 +217,27 @@ def _record_chunks(records_in: BinaryIO, plaintext_length: int) -> Iterator[tupl
     # no cipher: yields each chunk's first block, its CHUNK_BLOCKS records (the
     # last chunk's fewer) and the count of plaintext bytes they hold
     blocks = block_count(plaintext_length)
-    for done in range(0, blocks, CHUNK_BLOCKS):
+    for done in range(0, max(blocks, 1), CHUNK_BLOCKS):  # no payload: one empty chunk
         size = min(CHUNK_BLOCKS, blocks - done) * RECORD_SIZE
         records = _read_full(records_in, size)
         if len(records) < size:
             block = done + len(records) // RECORD_SIZE
             raise KeyFileFormatError(f"key file record payload truncated near block {block}")
+        # before the self-paired check: a header length cut short would blame an intact record
+        if done + CHUNK_BLOCKS >= blocks and records_in.read(1):
+            raise KeyFileFormatError("trailing bytes after the final key record")
         keep = min(2 * CHUNK_BLOCKS, plaintext_length - 2 * done)
-        # an odd count ends in a self-paired record (equal zero-weight bytes), whose
-        # duplicate is dropped; any other means the length was edited from even
-        if keep % 2 and records[-RECORD_SIZE] != records[-RECORD_SIZE + 1]:
-            raise CorruptRecordError(f"key record {blocks - 1} is not self-paired", blocks - 1)
+        _check_self_paired(records, keep, done)
         yield done, records, keep
         del records  # free the read result before the next chunk is read
-    if records_in.read(1):
-        raise KeyFileFormatError("trailing bytes after the final key record")
+
+
+def _check_self_paired(records: bytes, plaintext_length: int, first_block: int) -> None:
+    # an odd length ends in a self-paired record (equal zero-weight bytes), whose
+    # duplicate is dropped; any other means the length was edited from even
+    if plaintext_length % 2 and records[-RECORD_SIZE] != records[-RECORD_SIZE + 1]:
+        index = first_block + len(records) // RECORD_SIZE - 1
+        raise CorruptRecordError(f"key record {index} is not self-paired", index)
 
 
 def _header(plaintext_length: int) -> bytes:

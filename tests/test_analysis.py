@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 import tracemalloc
@@ -24,6 +25,7 @@ from gcdcipher.filecodec import (
     KeyFile,
     KeyFileFormatError,
     block_table,
+    decrypt_file,
     decrypt_stream,
     encrypt_file,
 )
@@ -257,6 +259,16 @@ def test_leakage_audit_odd_length():
     assert keyfile_leakage_audit(key) == bytes([50, 100, 7])
 
 
+def test_leakage_audit_refuses_an_even_length_edited_to_odd():
+    # the in-memory audit refuses the key decrypt_file refuses, naming the same block
+    cipher, key = encrypt_file(b"hello!")
+    edited = KeyFile(5, key.record_bytes)
+    for recover in (keyfile_leakage_audit, lambda k: decrypt_file(cipher, k)):
+        with pytest.raises(CorruptRecordError, match="not self-paired") as excinfo:
+            recover(edited)
+        assert excinfo.value.block_index == 2
+
+
 @given(st.binary(max_size=4096))
 def test_leakage_audit_recovers_any_plaintext(data):
     _, key = encrypt_file(data)
@@ -328,6 +340,20 @@ def test_analyze_file_is_exact_across_chunk_seams(monkeypatch, length):
     )
     assert report.avalanche_percent == avalanche_oracle(data, 0x08)
     assert report.compression_percent == 100.0 * (1.0 - len(cipher) / length)
+
+
+@pytest.mark.parametrize("length", [1, 2, 33, 48, 97])
+def test_ranges_at_even_offsets_add_up_to_the_whole_file(length):
+    """Split anywhere even, down to one block a range, the parts give the whole
+    file's report: the changed-bit counts are integers, not averaged percentages."""
+    data = random.Random(3000 + length).randbytes(length)
+    untimed = lambda report: dataclasses.replace(report, encrypt_time=0.0, decrypt_time=0.0)
+    whole = untimed(analyze_file(data))
+    view = memoryview(data)
+    for step in (2, 6, 16, 32):
+        parts = [analysis._analyze_range(view[i : i + step]) for i in range(0, length, step)]
+        assert untimed(analysis._report(parts)) == whole
+    assert whole.avalanche_percent == avalanche(data)
 
 
 def test_analyze_file_memory_does_not_grow_with_the_file():
