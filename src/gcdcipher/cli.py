@@ -154,9 +154,6 @@ def cmd_encrypt(args) -> int:
     key_path = Path(args.key or src_path.parent / ("key_" + src_path.name))
     start = time.perf_counter()
     with open(src_path, "rb") as src, _outputs([src_path], ct_path, key_path) as (ct, key):
-        # refused before anything is written: the key's header is patched last
-        if not key.seekable():
-            raise OSError(f"refusing to write {key_path}: a key output must be seekable")
         length = encrypt_stream(src, ct, key)
     elapsed = time.perf_counter() - start
     blocks = block_count(length)

@@ -130,11 +130,14 @@ def decrypt_file(cipher: bytes, key: KeyFile) -> bytes:
 def encrypt_stream(src: BinaryIO, cipher_out: BinaryIO, key_out: BinaryIO) -> int:
     """Encrypt src chunk by chunk; returns the plaintext byte count.
 
-    key_out must be seekable: the header is written up front with a
-    placeholder length and patched once the input is exhausted; a sink that
-    cannot seek fails before anything is written.
+    key_out must be seekable, as its header's length is patched last; a sink
+    that cannot seek is refused, by its name, before anything is written.
     """
-    key_out.seek(0)
+    try:
+        key_out.seek(0)
+    except OSError as exc:  # io.UnsupportedOperation, say, for a pipe
+        sink = f"key output {key_out.name}" if hasattr(key_out, "name") else "key output"
+        raise type(exc)(f"refusing to write {sink}: it must be seekable") from exc
     key_out.write(_header(0))
     total = _encode_stream(src, cipher_out, key_out)
     key_out.seek(0)

@@ -1,7 +1,6 @@
 import dataclasses
 import io
 import random
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,6 @@ from gcdcipher.analysis import (
     hamming_distance,
     keyfile_leakage_audit,
 )
-from gcdcipher.block import encrypt_block
 from gcdcipher.filecodec import (
     CorruptRecordError,
     KeyFile,
@@ -29,6 +27,8 @@ from gcdcipher.filecodec import (
     decrypt_stream,
     encrypt_file,
 )
+
+from oracles import EVERY_BLOCK, scalar_encrypt, traced_peak
 
 
 def table(**counts) -> np.ndarray:
@@ -132,18 +132,7 @@ def avalanche_oracle(data: bytes, mask: int) -> float:
     """The definition, from the scalar block ops: encrypt the input and its
     flipped copy, then count the output bits that differ."""
     mutated = bytes(x ^ mask for x in data)
-
-    def streams(p):
-        if len(p) % 2:
-            p += p[-1:]
-        cipher, recs = bytearray(), bytearray()
-        for i in range(0, len(p), 2):
-            g, rec = encrypt_block(p[i], p[i + 1])
-            cipher.append(g)
-            recs += bytes(rec)
-        return bytes(cipher) + bytes(recs)
-
-    a, b = streams(data), streams(mutated)
+    a, b = b"".join(scalar_encrypt(data)), b"".join(scalar_encrypt(mutated))
     changed = sum((x ^ y).bit_count() for x, y in zip(a, b))
     return 100.0 * changed / (8 * len(a))
 
@@ -173,9 +162,8 @@ def test_output_table_packs_the_block_table_exhaustively():
 
 
 def test_avalanche_equals_two_encryptions_for_every_block_and_mask():
-    every_block = np.arange(1 << 16, dtype=">u2").tobytes()
     for mask in range(256):
-        assert avalanche(every_block, flip_mask=mask) == two_encryption_avalanche(every_block, mask)
+        assert avalanche(EVERY_BLOCK, flip_mask=mask) == two_encryption_avalanche(EVERY_BLOCK, mask)
 
 
 def test_analysis_encrypts_each_chunk_once(monkeypatch):
@@ -305,12 +293,6 @@ def test_analyze_file_empty_rejected():
 SEAM_LENGTHS = [1, 15, 16, 17, 31, 47, 48, 49, 50]  # 16-byte chunks with CHUNK_BLOCKS 8
 
 
-def scalar_cipher(data: bytes) -> bytes:
-    if len(data) % 2:
-        data += data[-1:]
-    return bytes(encrypt_block(data[i], data[i + 1])[0] for i in range(0, len(data), 2))
-
-
 def counter_table(data: bytes) -> np.ndarray:
     out = np.zeros(256, dtype=np.int64)
     for value, count in Counter(data).items():
@@ -331,7 +313,7 @@ def test_analyze_file_is_exact_across_chunk_seams(monkeypatch, length):
     """Chunked analysis reports exactly what the whole-buffer definitions give."""
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
     data = random.Random(1000 + length).randbytes(length)
-    cipher = scalar_cipher(data)
+    cipher, _ = scalar_encrypt(data)
     report = analyze_file(data)
     assert report.source_size == length
     assert report.cipher_size == len(cipher)
@@ -362,14 +344,7 @@ def test_analyze_file_memory_does_not_grow_with_the_file():
     # both tables are built once per process; not part of any one analysis
     block_table()
     analysis._output_table()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        analyze_file(data)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(analyze_file, data)
     assert peak < len(data) // 8
 
 
@@ -380,14 +355,7 @@ def test_sub_chunk_inputs_get_sub_chunk_buffers(run, length):
     data = random.Random(length).randbytes(length)
     block_table()
     analysis._output_table()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run(data)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run, data)
     # full-chunk buffers take 199-536 KB here; these inputs need at most 21 KB
     assert peak < 64 << 10
 
@@ -432,13 +400,6 @@ def test_audit_stream_memory_does_not_grow_with_the_file(tmp_path):
     key_path.write_bytes(encrypt_file(data)[1].to_bytes())
     assert key_path.stat().st_size > 8 << 20
     with open(key_path, "rb") as key, open(out_path, "wb") as out:
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            audit_stream(key, out)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(audit_stream, key, out)
     assert out_path.read_bytes() == data
     assert peak < 2 << 20

@@ -1,10 +1,11 @@
+import contextlib
 import csv
+import io
 import os
 import random
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gcdcipher import analysis, cli, filecodec
-from gcdcipher.filecodec import HEADER_SIZE, MAGIC, VERSION, CorruptRecordError, encrypt_file
+from gcdcipher.filecodec import HEADER_SIZE, RECORD_SIZE, CorruptRecordError, encrypt_file
+from oracles import header, traced_peak
 
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
@@ -24,8 +26,11 @@ def run_cli(argv):
         return exc.code
 
 
-def header(length):
-    return struct.pack(">4sBQ", MAGIC, VERSION, length)
+def run_cli_stderr(argv):
+    """Exit code and stderr of one in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        return run_cli(argv), err.getvalue()
 
 
 def read_rows(path):
@@ -300,22 +305,30 @@ def test_audit_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=210, deadline=None)
 @given(
-    # some end in a repeated byte, so an even length edited to odd can pass
-    st.binary(min_size=9, max_size=60) | st.binary(min_size=8, max_size=59).map(lambda b: b + b[-1:]),
+    # some end in a repeated byte, so an even length edited to odd can pass; some
+    # start with the all-zero block, whose gcd arithmetic reads only zero-weight edits
+    st.binary(min_size=9, max_size=60)
+    | st.binary(min_size=8, max_size=59).map(lambda b: b + b[-1:])
+    | st.binary(min_size=7, max_size=58).map(lambda b: bytes(2) + b),
     st.data(),
 )
-def test_key_only_edits_give_decrypt_and_audit_one_outcome(tmp_path_factory, plain, data):
-    """One edit of the key alone: decrypt and audit exit alike, a failure leaves
-    no output, and exit 0 gives the plaintext but for the README's two header
-    edits: odd to even appends a copy of the last byte, even to odd drops it."""
+def test_one_edit_gives_decrypt_and_audit_their_stated_outcomes(tmp_path_factory, plain, data):
+    """One edit of the key or the cipher; a failure leaves no output. An edit of
+    the key's header or size: decrypt and audit exit alike, and exit 0 gives the
+    plaintext but for the README's two header edits: odd to even appends a copy
+    of the last byte, even to odd drops it. A record or cipher byte XORed:
+    decrypt exits 3 naming the edited block, or gives the plaintext; audit gives
+    the plaintext, but for a zero-weight edit, whose byte it reads as the
+    complement of the edited field."""
     n = len(plain)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(filecodec, "CHUNK_BLOCKS", 4)  # 8 bytes a chunk, so every input spans two
         cipher, key = encrypt_file(plain)
-        raw = bytearray(key.to_bytes())
-        kinds = ["header byte", "length by one", "length", "cut", "extend"]
+        cipher, raw = bytearray(cipher), bytearray(key.to_bytes())
+        kinds = ["header byte", "length by one", "length", "cut", "extend", "record byte",
+                 "cipher byte"]
         kind = data.draw(st.sampled_from(kinds))
         if kind == "header byte":
             raw[data.draw(st.integers(0, HEADER_SIZE - 1))] ^= data.draw(st.integers(1, 255))
@@ -325,19 +338,46 @@ def test_key_only_edits_give_decrypt_and_audit_one_outcome(tmp_path_factory, pla
             raw[:HEADER_SIZE] = header(data.draw(st.integers(0, 2**64 - 1)))
         elif kind == "cut":
             del raw[-data.draw(st.integers(1, 40)):]
-        else:
+        elif kind == "extend":
             raw += data.draw(st.binary(min_size=1, max_size=40))
+        else:  # the last and first blocks often: a self-paired tail, the all-zero one above
+            last = len(cipher) - 1
+            block = data.draw(st.sampled_from([last, 0]) | st.integers(0, last))
+            if kind == "record byte":
+                field = data.draw(st.integers(0, RECORD_SIZE - 1))
+                raw[HEADER_SIZE + RECORD_SIZE * block + field] ^= data.draw(st.integers(1, 255))
+            else:
+                field = None
+                cipher[block] ^= data.draw(st.integers(1, 255))
         directory = tmp_path_factory.mktemp("edit")
         ct, key_path = directory / "ct", directory / "key"
         ct.write_bytes(cipher)
         key_path.write_bytes(raw)
         decrypted, audited = directory / "decrypted", directory / "audited"
-        code = run_cli(["decrypt", str(ct), str(key_path), "--out", str(decrypted)])
-        event(f"{kind}, {'odd' if n % 2 else 'even'} length: exit {code}")
-        assert run_cli(["audit", str(key_path), "--out", str(audited)]) == code
+        code, err = run_cli_stderr(["decrypt", str(ct), str(key_path), "--out", str(decrypted)])
+        audit_code, audit_err = run_cli_stderr(["audit", str(key_path), "--out", str(audited)])
+    event(f"{kind}, {'odd' if n % 2 else 'even'} length: exit {code}, audit exit {audit_code}")
     assert code in (0, 2, 3)
+    assert code == 0 or not decrypted.exists()
+    assert audit_code == 0 or not audited.exists()
+    if kind in ("record byte", "cipher byte"):
+        assert code in (0, 3)
+        if code:
+            assert f"record {block} " in err
+        else:
+            assert decrypted.read_bytes() == plain
+        if field in (0, 1):  # a zero-weight field, the complement of a plaintext byte
+            if n % 2 and block == len(cipher) - 1:  # no longer self-paired
+                assert (code, audit_code) == (3, 3) and f"record {block} " in audit_err
+                return
+            edited = bytearray(plain)
+            edited[2 * block + field] = 255 - raw[HEADER_SIZE + RECORD_SIZE * block + field]
+            assert audit_code == 0 and audited.read_bytes() == edited
+        else:
+            assert audit_code == 0 and audited.read_bytes() == plain
+        return
+    assert audit_code == code
     if code:
-        assert not decrypted.exists() and not audited.exists()
         return
     recovered = decrypted.read_bytes()
     assert audited.read_bytes() == recovered
@@ -525,14 +565,9 @@ def test_corpus_memory_does_not_grow_with_the_file(tmp_path):
     # both tables are built once per process; not part of any one analysis
     filecodec.block_table()
     analysis._output_table()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert run_cli(["corpus", str(directory), "--csv", str(tmp_path / "report.csv")]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    argv = ["corpus", str(directory), "--csv", str(tmp_path / "report.csv")]
+    code, peak = traced_peak(run_cli, argv)
+    assert code == 0
     assert peak < 4 << 20
 
 

@@ -1,9 +1,7 @@
 import io
 import os
-import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +16,10 @@ from gcdcipher.block import (
     KeyRecord,
     MalformedRecordError,
     decrypt_block,
-    encrypt_block,
 )
 from gcdcipher.filecodec import (
     HEADER_SIZE,
     MAGIC,
-    VERSION,
     ConsistencyError,
     CorruptRecordError,
     KeyFile,
@@ -37,24 +33,9 @@ from gcdcipher.filecodec import (
     parse_key_file,
 )
 
+from oracles import EVERY_BLOCK, every_block_encrypted, header, scalar_encrypt, traced_peak
+
 TABLE_RECORD = bytes([150, 145, 21, 1, 1])
-
-
-def header(length: int) -> bytes:
-    return struct.pack(">4sBQ", MAGIC, VERSION, length)
-
-
-def scalar_encrypt(data: bytes) -> tuple[bytes, bytes]:
-    """Reference path: drive the scalar block ops pair by pair."""
-    if len(data) % 2:
-        data += data[-1:]
-    cipher = bytearray()
-    records = bytearray()
-    for i in range(0, len(data), 2):
-        g, rec = encrypt_block(data[i], data[i + 1])
-        cipher.append(g)
-        records += bytes(rec)
-    return bytes(cipher), bytes(records)
 
 
 def test_encrypt_file_golden_pair():
@@ -170,12 +151,7 @@ def test_decrypt_file_reports_global_index_of_corrupt_record_in_third_chunk(monk
 
 def test_block_table_matches_encrypt_block_exhaustively():
     """Encryption reads the table, so every one of its rows is pinned to the spec."""
-    ciphers, records = bytearray(), bytearray()
-    for a in range(256):
-        for b in range(256):
-            g, rec = encrypt_block(a, b)
-            ciphers.append(g)
-            records += bytes(rec)
+    ciphers, records = every_block_encrypted()
     table_ciphers, table_records = block_table()
     assert table_ciphers.shape == (65536,) and table_records.shape == (65536, 5)
     assert table_ciphers.tobytes() == ciphers
@@ -440,6 +416,20 @@ def test_encrypt_stream_fails_before_writing_to_a_key_sink_that_cannot_seek():
     assert (len(ct.written), len(key_out.written)) == (0, 0)
 
 
+def test_encrypt_stream_refusal_names_the_key_sink(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # an open read end lets the FIFO be opened for writing without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with open(fifo, "wb") as key_out, pytest.raises(io.UnsupportedOperation) as excinfo:
+            encrypt_stream(io.BytesIO(b"hello world"), io.BytesIO(), key_out)
+    finally:
+        os.close(reader)
+    assert f"refusing to write key output {fifo}:" in str(excinfo.value)
+    assert isinstance(excinfo.value.__cause__, io.UnsupportedOperation)
+
+
 @pytest.mark.parametrize("length", [17, 33, 1001])
 def test_encrypt_stream_matches_scalar_blocks_across_chunks(monkeypatch, length):
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)  # 16-byte chunks
@@ -533,21 +523,17 @@ def test_decrypt_stream_key_trailing_bytes():
         decrypt_stream(io.BytesIO(cipher), io.BytesIO(key.to_bytes() + b"\x00"), io.BytesIO())
 
 
-# every block once, 131,072 bytes: more than one CHUNK_BLOCKS chunk
-ALL_BLOCKS = np.arange(1 << 16, dtype=">u2").tobytes()
-
-
 def test_decrypt_file_inverts_scalar_encrypt_on_every_block():
-    cipher, records = scalar_encrypt(ALL_BLOCKS)
-    assert decrypt_file(cipher, KeyFile(len(ALL_BLOCKS), records)) == ALL_BLOCKS
+    cipher, records = every_block_encrypted()
+    assert decrypt_file(cipher, KeyFile(len(EVERY_BLOCK), records)) == EVERY_BLOCK
 
 
 def test_decrypt_stream_inverts_scalar_encrypt_on_every_block():
-    cipher, records = scalar_encrypt(ALL_BLOCKS)
+    cipher, records = every_block_encrypted()
     out = io.BytesIO()
-    key = io.BytesIO(header(len(ALL_BLOCKS)) + records)
-    assert decrypt_stream(io.BytesIO(cipher), key, out) == len(ALL_BLOCKS)
-    assert out.getvalue() == ALL_BLOCKS
+    key = io.BytesIO(header(len(EVERY_BLOCK)) + records)
+    assert decrypt_stream(io.BytesIO(cipher), key, out) == len(EVERY_BLOCK)
+    assert out.getvalue() == EVERY_BLOCK
 
 
 @given(st.binary(min_size=6, max_size=6))
@@ -566,18 +552,6 @@ def test_decrypt_file_agrees_with_decrypt_block_on_any_record(raw):
 
 # 4 MiB + 1 byte: many chunks and a self-paired tail
 WHOLE_FILE = np.random.default_rng(11).integers(0, 256, 4 * 2**20 + 1, dtype=np.uint8).tobytes()
-
-
-def traced_peak(fn, *args):
-    """Result of fn(*args) and the most memory it held beyond what existed before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_whole_file_encrypt_holds_its_outputs_plus_one_chunk():
