@@ -5,7 +5,8 @@ its bytes and nothing else; only ``selftest`` reports on stdout. An output
 that is the same file as an input or another output is refused before
 anything is opened. A failed command removes each regular file it opened
 for output, and never a path it did not open, a device, a pipe or a
-symbolic link, such as ``/dev/stdout`` redirected to a file.
+symbolic link, such as ``/dev/stdout`` redirected to a file. A failed write
+to stdout, or a closed stdout, is an error: exit 1 with one ``error:`` line.
 ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, unless already set.
 ``corpus`` works in ranges of 32 chunks, 2 MiB, of one file each: a large file
 keeps every ``--jobs`` worker busy, and no process holds more of it than a range.
@@ -147,6 +148,15 @@ def _outputs(inputs: list[Path], *paths: Path):
         raise
 
 
+@contextlib.contextmanager
+def _stdout(mode: str):
+    # fd 1 as a one-handle list, closed in the command: a failed flush raises there, not at exit
+    if sys.stdout is None:  # fd 1 was closed at start; an input may hold it now
+        raise OSError("refusing to write stdout: it is closed")
+    with open(1, mode, closefd=False) as out:
+        yield [out]
+
+
 def cmd_encrypt(args) -> int:
     src_path = Path(args.input)
     # parent / name, as with_name raises for "." and "/"; opening those as input fails first
@@ -157,17 +167,13 @@ def cmd_encrypt(args) -> int:
         length = encrypt_stream(src, ct, key)
     elapsed = time.perf_counter() - start
     blocks = block_count(length)
-    print(
-        f"{src_path} ({length} bytes) -> {ct_path} ({blocks} bytes) "
-        f"+ {key_path} ({HEADER_SIZE + blocks * RECORD_SIZE} bytes) in {elapsed:.3f} s",
-        file=sys.stderr,
-    )
+    print(f"{src_path} ({length} bytes) -> {ct_path} ({blocks} bytes) + {key_path} "
+          f"({HEADER_SIZE + blocks * RECORD_SIZE} bytes) in {elapsed:.3f} s", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
-    ct_path = Path(args.ct)
-    key_path = Path(args.key)
+    ct_path, key_path = Path(args.ct), Path(args.key)
     out_path = Path(args.out or ct_path.parent / ("pt_" + ct_path.name.removeprefix("ct_")))
     start = time.perf_counter()
     with (open(ct_path, "rb") as ct, open(key_path, "rb") as key,
@@ -182,15 +188,10 @@ def cmd_decrypt(args) -> int:
 def cmd_audit(args) -> int:
     key_path = Path(args.key)
     with (open(key_path, "rb") as key,
-          _outputs([key_path], *([Path(args.out)] if args.out else [])) as handles):
-        out = handles[0] if handles else sys.stdout.buffer
+          _outputs([key_path], Path(args.out)) if args.out else _stdout("wb") as (out,)):
         length = analysis.audit_stream(key, out)
-        out.flush()
-    print(
-        "warning: the key file leaks the plaintext; its zero-weight fields are "
-        "bitwise complements of the plaintext bytes",
-        file=sys.stderr,
-    )
+    print("warning: the key file leaks the plaintext; its zero-weight fields are "
+          "bitwise complements of the plaintext bytes", file=sys.stderr)
     if args.out:
         print(f"recovered {length} bytes from {args.key} -> {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -252,8 +253,7 @@ def cmd_corpus(args) -> int:
 
 def cmd_selftest(args=None) -> int:
     # one scalar pass: every block's outputs, and how many decrypt_block inverts
-    block_ciphers: list[int] = []
-    block_records: list[int] = []
+    block_ciphers, block_records = [], []  # every block's cipher byte, then its record bytes
     inverted = 0
     for x in range(256):
         for y in range(256):
@@ -282,10 +282,10 @@ def cmd_selftest(args=None) -> int:
         ("block table matches encrypt_block:", encrypt_ok),
         ("decode kernel inverts encrypt_block:", decrypt_ok),
     ]
-    for label, ok in checks:
-        print(label, "OK" if ok else "FAIL")
     failed = [label.rstrip(":") for label, ok in checks if not ok]
-    print(f"selftest: FAIL ({'; '.join(failed)})" if failed else "selftest: PASS")
+    with _stdout("w") as (out,):
+        out.writelines(f"{label} {'OK' if ok else 'FAIL'}\n" for label, ok in checks)
+        print(f"selftest: FAIL ({'; '.join(failed)})" if failed else "selftest: PASS", file=out)
     return EXIT_IO if failed else EXIT_OK
 
 

@@ -37,6 +37,15 @@ def scalar_encrypt(data: bytes) -> tuple[bytes, bytes]:
     return bytes(cipher), bytes(records)
 
 
+def avalanche_oracle(data: bytes, mask: int) -> float:
+    """The definition of avalanche: encrypt the input and its copy with mask
+    XORed into every byte, then count the output bits that differ."""
+    mutated = bytes(x ^ mask for x in data)
+    a, b = b"".join(scalar_encrypt(data)), b"".join(scalar_encrypt(mutated))
+    changed = sum((x ^ y).bit_count() for x, y in zip(a, b))
+    return 100.0 * changed / (8 * len(a))
+
+
 @functools.cache
 def every_block_encrypted() -> tuple[bytes, bytes]:
     """scalar_encrypt(EVERY_BLOCK), built once per test run: a test that

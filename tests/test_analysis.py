@@ -1,7 +1,6 @@
 import dataclasses
 import io
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +27,8 @@ from gcdcipher.filecodec import (
     encrypt_file,
 )
 
-from oracles import EVERY_BLOCK, scalar_encrypt, traced_peak
+from chunk_loops import SEAM_LENGTHS, assert_exact_at_seam
+from oracles import EVERY_BLOCK, avalanche_oracle, every_block_encrypted, traced_peak
 
 
 def table(**counts) -> np.ndarray:
@@ -128,25 +128,6 @@ def test_hamming_distance_matches_bit_count(data):
     assert hamming_distance(a, b) == sum((x ^ y).bit_count() for x, y in zip(a, b))
 
 
-def avalanche_oracle(data: bytes, mask: int) -> float:
-    """The definition, from the scalar block ops: encrypt the input and its
-    flipped copy, then count the output bits that differ."""
-    mutated = bytes(x ^ mask for x in data)
-    a, b = b"".join(scalar_encrypt(data)), b"".join(scalar_encrypt(mutated))
-    changed = sum((x ^ y).bit_count() for x, y in zip(a, b))
-    return 100.0 * changed / (8 * len(a))
-
-
-def two_encryption_avalanche(data: bytes, mask: int) -> float:
-    """The definition through the file codec: encrypt the input and its
-    flipped copy with encrypt_file, then count the output bits that differ."""
-    flipped = (np.frombuffer(data, dtype=np.uint8) ^ np.uint8(mask)).tobytes()
-    (cipher, key), (flipped_cipher, flipped_key) = encrypt_file(data), encrypt_file(flipped)
-    base = np.frombuffer(cipher + key.record_bytes, dtype=np.uint8)
-    other = np.frombuffer(flipped_cipher + flipped_key.record_bytes, dtype=np.uint8)
-    return 100.0 * int(np.unpackbits(base ^ other).sum()) / (8 * len(base))
-
-
 def test_output_table_packs_the_block_table_exhaustively():
     table = analysis._output_table()
     ciphers, records = block_table()
@@ -162,8 +143,15 @@ def test_output_table_packs_the_block_table_exhaustively():
 
 
 def test_avalanche_equals_two_encryptions_for_every_block_and_mask():
+    """Mask m sends block i to block i ^ (m << 8 | m), so the flipped input's
+    outputs are the scalar outputs of every block, permuted."""
+    cipher, records = every_block_encrypted()
+    outputs = np.column_stack((np.frombuffer(cipher, np.uint8),
+                               np.frombuffer(records, np.uint8).reshape(-1, 5)))
+    blocks = np.arange(1 << 16)
     for mask in range(256):
-        assert avalanche(EVERY_BLOCK, flip_mask=mask) == two_encryption_avalanche(EVERY_BLOCK, mask)
+        changed = np.unpackbits(outputs ^ outputs.take(blocks ^ (mask << 8 | mask), axis=0)).sum()
+        assert avalanche(EVERY_BLOCK, flip_mask=mask) == 100.0 * int(changed) / (8 * outputs.size)
 
 
 def test_analysis_encrypts_each_chunk_once(monkeypatch):
@@ -290,38 +278,15 @@ def test_analyze_file_empty_rejected():
         analyze_file(b"")
 
 
-SEAM_LENGTHS = [1, 15, 16, 17, 31, 47, 48, 49, 50]  # 16-byte chunks with CHUNK_BLOCKS 8
-
-
-def counter_table(data: bytes) -> np.ndarray:
-    out = np.zeros(256, dtype=np.int64)
-    for value, count in Counter(data).items():
-        out[value] = count
-    return out
-
-
 @pytest.mark.parametrize("mask", [0x00, 0x01, 0x08, 0xFF])
 @pytest.mark.parametrize("length", SEAM_LENGTHS)
-def test_avalanche_is_exact_across_chunk_seams(monkeypatch, length, mask):
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
-    data = random.Random(length).randbytes(length)
-    assert avalanche(data, flip_mask=mask) == avalanche_oracle(data, mask)
+def test_avalanche_is_exact_across_chunk_seams(length, mask):
+    assert_exact_at_seam("avalanche", length, mask)
 
 
 @pytest.mark.parametrize("length", SEAM_LENGTHS)
-def test_analyze_file_is_exact_across_chunk_seams(monkeypatch, length):
-    """Chunked analysis reports exactly what the whole-buffer definitions give."""
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
-    data = random.Random(1000 + length).randbytes(length)
-    cipher, _ = scalar_encrypt(data)
-    report = analyze_file(data)
-    assert report.source_size == length
-    assert report.cipher_size == len(cipher)
-    assert (report.chi_square, report.degrees_of_freedom) == chi_square(
-        counter_table(data), counter_table(cipher)
-    )
-    assert report.avalanche_percent == avalanche_oracle(data, 0x08)
-    assert report.compression_percent == 100.0 * (1.0 - len(cipher) / length)
+def test_analyze_file_is_exact_across_chunk_seams(length):
+    assert_exact_at_seam("analyze_file", length)
 
 
 @pytest.mark.parametrize("length", [1, 2, 33, 48, 97])
@@ -361,13 +326,8 @@ def test_sub_chunk_inputs_get_sub_chunk_buffers(run, length):
 
 
 @pytest.mark.parametrize("length", SEAM_LENGTHS)
-def test_audit_stream_equals_the_whole_key_audit(monkeypatch, length):
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
-    data = random.Random(2000 + length).randbytes(length)
-    _, key = encrypt_file(data)
-    out = io.BytesIO()
-    assert audit_stream(io.BytesIO(key.to_bytes()), out) == length
-    assert out.getvalue() == keyfile_leakage_audit(key) == data
+def test_audit_stream_equals_the_whole_key_audit(length):
+    assert_exact_at_seam("audit_stream", length)
 
 
 def test_audit_stream_names_the_block_where_the_payload_ends(monkeypatch):

@@ -100,6 +100,9 @@ def test_decrypt_block_worked_example():
 
 def test_decrypt_block_zero_block():
     assert decrypt_block(0, KeyRecord(255, 255, 0, 0, 0)) == (0, 0)
+    # rp_first 0 rebuilds (0, 0) from any cipher, so only the byte check refuses 256
+    with pytest.raises(ValueError, match="byte value out of range: 256"):
+        decrypt_block(256, KeyRecord(255, 255, 0, 0, 0))
 
 
 def test_exhaustive_round_trip_and_invariants():

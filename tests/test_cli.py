@@ -16,7 +16,9 @@ from gcdcipher import analysis, cli, filecodec
 from gcdcipher.filecodec import HEADER_SIZE, RECORD_SIZE, CorruptRecordError, encrypt_file
 from oracles import header, traced_peak
 
-CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+# a child's stdout is buffered, as from a shell, whether or not PYTHONUNBUFFERED is set here
+CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
 def run_cli(argv):
@@ -271,15 +273,25 @@ def test_decrypt_corrupt_record_exits_3_with_block_index(tmp_path, capsys):
     assert "record 2" in capsys.readouterr().err
 
 
-def test_decrypt_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
-    # the last byte would be dropped: the last record of an odd length is self-paired
+def _exits_3_on_length_edited_from_even_to_odd(tmp_path, capsys, command):
+    # the last byte would be dropped: the last record of an odd length is self-paired,
+    # and the key alone shows the edit, so audit refuses what decrypt refuses
     cipher, key = encrypt_file(b"hello!")
     (tmp_path / "ct").write_bytes(cipher)
     (tmp_path / "key").write_bytes(header(5) + key.record_bytes)
-    out = tmp_path / "pt"
-    assert run_cli(["decrypt", str(tmp_path / "ct"), str(tmp_path / "key"), "--out", str(out)]) == 3
+    out = tmp_path / "out"
+    inputs = [tmp_path / "ct", tmp_path / "key"] if command == "decrypt" else [tmp_path / "key"]
+    assert run_cli([command, *map(str, inputs), "--out", str(out)]) == 3
     assert "record 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_decrypt_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
+    _exits_3_on_length_edited_from_even_to_odd(tmp_path, capsys, "decrypt")
+
+
+def test_audit_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
+    _exits_3_on_length_edited_from_even_to_odd(tmp_path, capsys, "audit")
 
 
 def test_payload_longer_than_its_header_exits_2(tmp_path, capsys):
@@ -293,16 +305,6 @@ def test_payload_longer_than_its_header_exits_2(tmp_path, capsys):
         assert run_cli([*map(str, argv), "--out", str(out)]) == 2
         assert "trailing bytes" in capsys.readouterr().err
         assert not out.exists()
-
-
-def test_audit_length_edited_from_even_to_odd_exits_3(tmp_path, capsys):
-    # the key alone shows the edit: audit refuses what decrypt refuses
-    _, key = encrypt_file(b"hello!")
-    (tmp_path / "key").write_bytes(header(5) + key.record_bytes)
-    out = tmp_path / "recovered"
-    assert run_cli(["audit", str(tmp_path / "key"), "--out", str(out)]) == 3
-    assert "record 2" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @settings(derandomize=True, max_examples=210, deadline=None)
@@ -398,12 +400,12 @@ def test_audit_recovers_plaintext(tmp_path, capsys):
     assert "leak" in capsys.readouterr().err
 
 
-def test_audit_writes_stdout_by_default(tmp_path, capsysbinary):
+def test_audit_writes_stdout_by_default(tmp_path, capfdbinary):
     _, key = encrypt_file(b"in")
     key_path = tmp_path / "key"
     key_path.write_bytes(key.to_bytes())
     assert run_cli(["audit", str(key_path)]) == 0
-    assert capsysbinary.readouterr().out == b"in"
+    assert capfdbinary.readouterr().out == b"in"
 
 
 def test_audit_header_only_key(tmp_path):
@@ -420,7 +422,7 @@ def test_audit_truncated_key_exits_2(tmp_path):
     assert run_cli(["audit", str(key_path)]) == 2
 
 
-def test_audit_key_damaged_past_the_first_chunk_exits_2(tmp_path, monkeypatch, capsysbinary):
+def test_audit_key_damaged_past_the_first_chunk_exits_2(tmp_path, monkeypatch, capfdbinary):
     monkeypatch.setattr(filecodec, "CHUNK_BLOCKS", 8)
     data = random.Random(41).randbytes(41)  # 21 blocks: chunks of 8, 8 and 5
     cipher, key = encrypt_file(data)
@@ -435,13 +437,13 @@ def test_audit_key_damaged_past_the_first_chunk_exits_2(tmp_path, monkeypatch, c
         assert run_cli(["audit", str(key_path), "--out", str(out)]) == 2
         assert not out.exists()
         assert run_cli(["audit", str(key_path)]) == 2
-        captured = capsysbinary.readouterr()
+        captured = capfdbinary.readouterr()
         assert error in captured.err
         assert captured.out == written
         # decrypt reads the same payload and fails the same way
         assert run_cli(["decrypt", str(ct_path), str(key_path), "--out", str(out)]) == 2
         assert not out.exists()
-        assert error in capsysbinary.readouterr().err
+        assert error in capfdbinary.readouterr().err
 
 
 def make_corpus(tmp_path, count=10):
@@ -491,22 +493,27 @@ def test_corpus_records_per_file_failure_and_continues(tmp_path, capsys):
 def test_corpus_blanks_a_file_whose_range_fails_and_reports_it_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(filecodec, "CHUNK_BLOCKS", 8)  # 16-byte chunks, 512-byte ranges
     directory = make_corpus(tmp_path, count=2)
-    # a random first range, then two of zeros, which no other file holds
-    (directory / "a_split.bin").write_bytes(random.Random(6).randbytes(512) + bytes(2 * 512 - 1))
+    # a random first range, then two that end in a chunk of zeros, which no other
+    # file holds: 16 bytes in the second range, 15 in the odd third
+    rng = random.Random(6)
+    data = rng.randbytes(512 + 496) + bytes(16) + rng.randbytes(496) + bytes(15)
+    (directory / "a_split.bin").write_bytes(data)
 
-    def failing_in_its_last_two_ranges(cipher, key):
+    def failing_on_zeros(cipher, key):
         plaintext = filecodec.decrypt_file(cipher, key)
-        return plaintext if any(plaintext) else b"\1" + plaintext[1:]
+        if not any(plaintext):
+            raise ValueError(f"a chunk of {len(plaintext)} zeros")
+        return plaintext
 
-    monkeypatch.setattr(analysis, "decrypt_file", failing_in_its_last_two_ranges)
+    monkeypatch.setattr(analysis, "decrypt_file", failing_on_zeros)
     csv_path = tmp_path / "report.csv"
     assert run_cli(["corpus", str(directory), "--csv", str(csv_path)]) == 1
     rows = read_rows(csv_path)
     assert [r[0] for r in rows[1:]] == ["a_split.bin", "file_00.bin", "file_01.bin"]
     assert rows[1][1:] == [""] * 8
     err = capsys.readouterr().err
-    assert err.count("round-trip mismatch") == 1
-    assert "error: a_split.bin: round-trip mismatch" in err
+    assert err.count("zeros") == 1
+    assert "error: a_split.bin: a chunk of 16 zeros" in err  # the first failing range's error
     assert all(r[1] != "" for r in rows[2:])
 
 
@@ -659,26 +666,26 @@ def test_corpus_missing_directory(tmp_path):
     assert run_cli(["corpus", str(tmp_path / "nope"), "--csv", str(tmp_path / "r.csv")]) == 1
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(capfd):
     assert run_cli(["selftest"]) == 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert "65536/65536 blocks OK" in out
     assert "selftest: PASS" in out
 
 
-def test_selftest_catches_table_mismatch(monkeypatch, capsys):
+def test_selftest_catches_table_mismatch(monkeypatch, capfd):
     ciphers, records = filecodec.block_table()
     broken = ciphers.copy()
     broken[105 << 8 | 110] = 1
     monkeypatch.setattr("gcdcipher.filecodec.block_table", lambda: (broken, records))
     assert run_cli(["selftest"]) != 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert "block table matches encrypt_block: FAIL" in out
     assert "65536/65536 blocks OK" in out  # the scalar round trip alone passes
 
 
 @pytest.mark.parametrize("fault", ["wrong byte", "raises"])
-def test_selftest_catches_a_broken_decode_kernel(monkeypatch, capsys, fault):
+def test_selftest_catches_a_broken_decode_kernel(monkeypatch, capfd, fault):
     real = filecodec._decode_blocks
 
     def broken(cipher, records, first_block):
@@ -690,7 +697,7 @@ def test_selftest_catches_a_broken_decode_kernel(monkeypatch, capsys, fault):
 
     monkeypatch.setattr(filecodec, "_decode_blocks", broken)
     assert run_cli(["selftest"]) != 0
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert "decode kernel inverts encrypt_block: FAIL" in out
     assert "65536/65536 blocks OK" in out  # the scalar round trip alone passes
 
@@ -715,20 +722,20 @@ def _swapped_block_index(data):
     ],
     ids=["swapped-block-index", "wrong-decrypt_block", "broken-zero_weight"],
 )
-def test_selftest_names_the_failing_check(monkeypatch, capsys, target, fault, line):
+def test_selftest_names_the_failing_check(monkeypatch, capfd, target, fault, line):
     monkeypatch.setattr(target, fault)
     assert run_cli(["selftest"]) == 1
-    out = capsys.readouterr().out
+    out = capfd.readouterr().out
     assert line in out
     assert out.count("FAIL") == 2  # the failing check and the verdict
     assert f"selftest: FAIL ({line.split(':')[0]}" in out  # named by the text before its colon
 
 
-def test_selftest_catches_broken_gcd(monkeypatch, capsys):
+def test_selftest_catches_broken_gcd(monkeypatch, capfd):
     # gcd = 1 still round-trips, so the golden vectors must catch it
     monkeypatch.setattr("gcdcipher.block.gcd", lambda a, b: 1)
     assert run_cli(["selftest"]) != 0
-    assert "FAIL" in capsys.readouterr().out
+    assert "FAIL" in capfd.readouterr().out
 
 
 def test_usage_errors_exit_1():
@@ -812,16 +819,42 @@ assert gcdcipher.encrypt_file(b"in")[0] == b"\\x05"
     run_fresh(script)
 
 
-def child_minor_faults(tmp_path, argv):
-    """Minor page faults of one fresh `python -m gcdcipher.cli` process."""
+def spawn_cli(tmp_path, argv, stdout):
+    """Exit code, stderr and resource usage of one fresh `python -m gcdcipher.cli`
+    process, with stdout the posix_spawn file action for its fd 1."""
     log = tmp_path / "stderr"
     pid = os.posix_spawn(
         sys.executable, [sys.executable, "-m", "gcdcipher.cli", *map(str, argv)], CHILD_ENV,
-        file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+        file_actions=[stdout,
                       (os.POSIX_SPAWN_OPEN, 2, str(log), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)],
     )
     _, status, usage = os.wait4(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, log.read_text()
+    return os.waitstatus_to_exitcode(status), log.read_text(), usage
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+@pytest.mark.parametrize("command", ["audit", "selftest"])
+def test_a_failed_or_closed_stdout_exits_1(tmp_path, command, stdout):
+    """Buffered stdout, as from a shell: an output smaller than the buffer is
+    written only when it is flushed, which must fail in the command, not at exit."""
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    key = tmp_path / "key"
+    key.write_bytes(encrypt_file(b"hello world")[1].to_bytes())
+    argv = {"audit": ["audit", key], "selftest": ["selftest"]}[command]
+    action = {"full": (os.POSIX_SPAWN_OPEN, 1, "/dev/full", os.O_WRONLY, 0),
+              "closed": (os.POSIX_SPAWN_CLOSE, 1)}[stdout]
+    code, err, _ = spawn_cli(tmp_path, argv, action)
+    assert code == 1, err
+    assert err.count("error:") == 1 and "Exception ignored" not in err, err
+    # closed, the key file may take fd 1: the error names stdout, not a failed write
+    assert ("stdout" if stdout == "closed" else "No space left on device") in err
+
+
+def child_minor_faults(tmp_path, argv):
+    """Minor page faults of one fresh `python -m gcdcipher.cli` process."""
+    code, err, usage = spawn_cli(tmp_path, argv, (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0))
+    assert code == 0, err
     return usage.ru_minflt
 
 

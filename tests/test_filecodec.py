@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,8 @@ from gcdcipher.filecodec import (
     parse_key_file,
 )
 
-from oracles import EVERY_BLOCK, every_block_encrypted, header, scalar_encrypt, traced_peak
+from chunk_loops import SEAM_LENGTHS, assert_exact_at_seam, assert_exact_on_every_block
+from oracles import every_block_encrypted, header, traced_peak
 
 TABLE_RECORD = bytes([150, 145, 21, 1, 1])
 
@@ -101,42 +103,20 @@ def test_round_trip_edge_cases(data):
 
 
 def test_vector_path_matches_scalar_blocks():
-    """The numpy chunk codec must agree with the scalar ops byte for byte."""
-    import random
-
-    rng = random.Random(1234)
-    for length in [1, 2, 3, 64, 255, 1024, 4097]:
-        data = rng.randbytes(length)
-        cipher, key = encrypt_file(data)
-        ref_cipher, ref_records = scalar_encrypt(data)
-        assert cipher == ref_cipher
-        assert key.record_bytes == ref_records
+    assert_exact_on_every_block("encrypt_file")
 
 
-@pytest.mark.parametrize("length", [15, 16, 17, 33, 1001])
-def test_encrypt_file_gathers_across_chunks(monkeypatch, length):
-    """An in-memory file is gathered chunk by chunk; no block is lost at a seam."""
-    import random
-
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
-    data = random.Random(length).randbytes(length)
-    cipher, key = encrypt_file(data)
-    assert (cipher, key.record_bytes) == scalar_encrypt(data)
+@pytest.mark.parametrize("length", SEAM_LENGTHS)
+def test_encrypt_file_gathers_across_chunks(length):
+    assert_exact_at_seam("encrypt_file", length)
 
 
-@pytest.mark.parametrize("length", [15, 16, 17, 33, 1001])
-def test_decrypt_file_reconstructs_across_chunks(monkeypatch, length):
-    """An in-memory file is decoded chunk by chunk; no block is lost at a seam."""
-    import random
-
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
-    data = random.Random(length).randbytes(length)
-    assert decrypt_file(*encrypt_file(data)) == data
+@pytest.mark.parametrize("length", SEAM_LENGTHS)
+def test_decrypt_file_reconstructs_across_chunks(length):
+    assert_exact_at_seam("decrypt_file", length)
 
 
 def test_decrypt_file_reports_global_index_of_corrupt_record_in_third_chunk(monkeypatch):
-    import random
-
     monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
     data = bytearray(random.Random(3).randbytes(61))
     data[38:40] = bytes([100, 50])  # block 19, in the third 8-block chunk; gcd 50
@@ -370,31 +350,6 @@ def test_encrypt_stream_matches_encrypt_file(monkeypatch):
     assert key_out.getvalue() == key.to_bytes()
 
 
-class CopyingSink:
-    """Seekable sink that keeps bytes(b) of every write, as a sink must:
-    encrypt_stream hands write a view of a buffer it reuses for the next chunk."""
-
-    def __init__(self):
-        self.writes: list[tuple[int, bytes]] = []  # (offset, bytes) in write order
-        self.position = 0
-
-    def write(self, b) -> int:
-        piece = bytes(b)
-        self.writes.append((self.position, piece))
-        self.position += len(piece)
-        return len(piece)
-
-    def seek(self, position: int) -> int:
-        self.position = position
-        return position
-
-    def getvalue(self) -> bytes:
-        out = bytearray()
-        for position, piece in self.writes:
-            out[position : position + len(piece)] = piece
-        return bytes(out)
-
-
 class UnseekableSink(io.RawIOBase):
     """A writable raw stream that keeps every byte written and cannot seek."""
 
@@ -430,28 +385,14 @@ def test_encrypt_stream_refusal_names_the_key_sink(tmp_path):
     assert isinstance(excinfo.value.__cause__, io.UnsupportedOperation)
 
 
-@pytest.mark.parametrize("length", [17, 33, 1001])
-def test_encrypt_stream_matches_scalar_blocks_across_chunks(monkeypatch, length):
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)  # 16-byte chunks
-    data = np.random.default_rng(length).integers(0, 256, length, dtype=np.uint8).tobytes()
-    ct, key_out = CopyingSink(), CopyingSink()
-    assert encrypt_stream(io.BytesIO(data), ct, key_out) == length
-    cipher, records = scalar_encrypt(data)
-    assert ct.getvalue() == cipher
-    assert key_out.getvalue() == header(length) + records
-    # one cipher write a chunk, and the last chunk shorter than the first
-    last = block_count(length % 16)
-    assert [len(piece) for _, piece in ct.writes] == [8] * (length // 16) + [last]
+@pytest.mark.parametrize("length", SEAM_LENGTHS)
+def test_encrypt_stream_matches_scalar_blocks_across_chunks(length):
+    assert_exact_at_seam("encrypt_stream", length)
 
 
-def test_decrypt_stream_matches_decrypt_file(monkeypatch):
-    monkeypatch.setattr("gcdcipher.filecodec.CHUNK_BLOCKS", 8)
-    data = b"\x00\xffgcd stream" * 37 + b"!"
-    cipher, key = encrypt_file(data)
-    out = io.BytesIO()
-    n = decrypt_stream(io.BytesIO(cipher), io.BytesIO(key.to_bytes()), out)
-    assert n == len(data)
-    assert out.getvalue() == data
+def test_decrypt_stream_matches_decrypt_file():
+    for length in SEAM_LENGTHS:
+        assert_exact_at_seam("decrypt_stream", length)
 
 
 class TrickleReader(io.RawIOBase):
@@ -483,16 +424,8 @@ def test_streams_gather_short_reads_into_whole_chunks(monkeypatch):
 
 
 def test_stream_round_trip_across_real_chunk_boundary():
-    import random
-
-    data = random.Random(7).randbytes(150_001)  # > 2 chunks, odd
-    ct, key_out = io.BytesIO(), io.BytesIO()
-    encrypt_stream(io.BytesIO(data), ct, key_out)
-    out = io.BytesIO()
-    ct.seek(0)
-    key_out.seek(0)
-    decrypt_stream(ct, key_out, out)
-    assert out.getvalue() == data
+    """encrypt_stream's half; decrypt_stream's is the every-block test below."""
+    assert_exact_on_every_block("encrypt_stream")
 
 
 def test_decrypt_stream_cipher_too_short():
@@ -524,16 +457,11 @@ def test_decrypt_stream_key_trailing_bytes():
 
 
 def test_decrypt_file_inverts_scalar_encrypt_on_every_block():
-    cipher, records = every_block_encrypted()
-    assert decrypt_file(cipher, KeyFile(len(EVERY_BLOCK), records)) == EVERY_BLOCK
+    assert_exact_on_every_block("decrypt_file")
 
 
 def test_decrypt_stream_inverts_scalar_encrypt_on_every_block():
-    cipher, records = every_block_encrypted()
-    out = io.BytesIO()
-    key = io.BytesIO(header(len(EVERY_BLOCK)) + records)
-    assert decrypt_stream(io.BytesIO(cipher), key, out) == len(EVERY_BLOCK)
-    assert out.getvalue() == EVERY_BLOCK
+    assert_exact_on_every_block("decrypt_stream")
 
 
 @given(st.binary(min_size=6, max_size=6))
