@@ -10,11 +10,15 @@ to stdout, or a closed stdout, is an error: exit 1 with one ``error:`` line.
 ``OPENBLAS_NUM_THREADS`` is set to 1 before numpy loads, unless already set.
 ``corpus`` works in ranges of 32 chunks, 2 MiB, of one file each: a large file
 keeps every ``--jobs`` worker busy, and no process holds more of it than a range.
+Ranges reach the workers through a window of four a worker, and each file's row
+is written as its last range comes back, so the parent holds that window and the
+sorted file listing, whatever the file count. A worker that dies is an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -211,35 +215,60 @@ def _corpus_range(task: tuple[Path, int, int]) -> tuple[tuple | None, str | None
         return None, str(exc)
 
 
+def _in_order(pool, tasks, window: int):
+    """_corpus_range of each task, read back in task order, with no more
+    than window tasks submitted and not yet read; a dead worker is an OSError."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    pending = collections.deque()
+    try:
+        for task in tasks:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_corpus_range, task))
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool as exc:  # say, one killed for memory
+        raise OSError(f"a corpus worker process ended abruptly: {exc}") from exc
+
+
 def cmd_corpus(args) -> int:
     # iterdir raises OSError for a missing directory or one that is a file
     files = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
     csv_path = Path(args.csv)
-    # an empty file is one empty range, refused as analyze_file refuses it
+    # each file's size and range starts; an empty file is one empty range,
+    # refused as analyze_file refuses it
     step = 64 * filecodec.CHUNK_BLOCKS
-    tasks = [(p, start, min(start + step, size))
-             for p in files for size in [p.stat().st_size] for start in range(0, size or 1, step)]
+    listing = [(p, size, range(0, size or 1, step)) for p in files for size in [p.stat().st_size]]
+    tasks = ((p, start, min(start + step, size)) for p, size, starts in listing for start in starts)
     # opened first, so a refused or unopenable report stops the run before any
-    # analysis; written last, so no forked worker inherits buffered rows. A file
-    # name that is not valid text is written back as its original bytes.
+    # analysis. A file name that is not valid text is written back as its original bytes.
     with (_outputs(files, csv_path) as (raw,),
-          io.TextIOWrapper(raw, newline="", errors="surrogateescape") as handle):
+          io.TextIOWrapper(raw, newline="", errors="surrogateescape") as handle,
+          contextlib.ExitStack() as stack):
         # a worker beyond the ranges or the CPUs would only start and sit idle
-        jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+        jobs = min(args.jobs, sum(len(starts) for _, _, starts in listing), os.cpu_count() or 1)
         if jobs > 1:
             # imported here: the process pool's modules slow every command's start
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_corpus_range, tasks))
+            # Forked workers start at a submit: the first, when no row but the
+            # header can sit in the report's buffer, or, where Python forks them
+            # on demand, a later one. Either way multiprocessing ends each with
+            # os._exit, so none flushes the buffered rows it inherited.
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # four ranges a worker keep each busy while the parent writes rows;
+            # no more results than that wait in the parent
+            results = _in_order(pool, tasks, 4 * jobs)
         else:
-            results = [_corpus_range(task) for task in tasks]
+            results = map(_corpus_range, tasks)
 
         failures = 0
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for path, group in itertools.groupby(zip(tasks, results), lambda pair: pair[0][0]):
-            parts, errors = zip(*(result for _, result in group))
+        for path, _, starts in listing:
+            # a row as soon as the file's last range is back; its parts go with it
+            parts, errors = zip(*itertools.islice(results, len(starts)))
             errors = [e for e in errors if e is not None]  # the first is reported
             report = None if errors else analysis._report(parts)
             writer.writerow([path.name] + ["" if errors else format(getattr(report, field), spec)

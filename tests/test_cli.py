@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -578,6 +579,25 @@ def test_corpus_memory_does_not_grow_with_the_file(tmp_path):
     assert peak < 4 << 20
 
 
+def test_corpus_memory_does_not_grow_with_the_file_count(tmp_path):
+    """Each row is written as its file's last range is read back, and its parts
+    dropped: 1,000 small files peak within 1 MiB of 100."""
+    filecodec.block_table()
+    analysis._output_table()
+    peaks = []
+    for count in (100, 1000):
+        directory = tmp_path / str(count)
+        directory.mkdir()
+        rng = random.Random(count)
+        for i in range(count):
+            (directory / f"file_{i:04d}.bin").write_bytes(rng.randbytes(64))
+        argv = ["corpus", str(directory), "--csv", str(tmp_path / f"{count}.csv"), "--jobs", "1"]
+        code, peak = traced_peak(run_cli, argv)
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
+
+
 @pytest.mark.parametrize(
     "files, jobs, cpus, pool_size",
     [
@@ -594,18 +614,14 @@ def test_corpus_clamps_jobs(tmp_path, monkeypatch, files, jobs, cpus, pool_size)
     """The pool is sized from the work; no real worker is started."""
     sizes = []
 
-    class RecordingPool:
+    class RecordingPool(concurrent.futures.Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
@@ -622,6 +638,67 @@ def test_corpus_clamps_jobs(tmp_path, monkeypatch, files, jobs, cpus, pool_size)
     assert run_cli(["corpus", str(directory), "--csv", str(csv_path), "--jobs", str(jobs)]) == 0
     assert sizes == ([] if pool_size is None else [pool_size])
     assert len(read_rows(csv_path)) == files + 1
+
+
+def test_corpus_keeps_a_window_of_ranges_in_flight(tmp_path, monkeypatch):
+    """Ranges go to the pool only as earlier ones are read back, at most four a
+    worker ahead, so the parent never holds more results than that."""
+    unread, in_flight = [], []  # futures submitted and not read; their count after each submit
+
+    class LazyFuture(concurrent.futures.Future):
+        def __init__(self, call):
+            super().__init__()
+            self.call = call
+
+        def result(self, timeout=None):  # the range is analysed only when read
+            unread.remove(self)
+            return self.call()
+
+    class LazyPool(concurrent.futures.Executor):
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, *args):
+            unread.append(future := LazyFuture(lambda: fn(*args)))
+            in_flight.append(len(unread))
+            return future
+
+    directory = make_corpus(tmp_path, count=50)
+    serial, windowed = tmp_path / "serial.csv", tmp_path / "windowed.csv"
+    assert run_cli(["corpus", str(directory), "--csv", str(serial), "--jobs", "1"]) == 0
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert run_cli(["corpus", str(directory), "--csv", str(windowed), "--jobs", "2"]) == 0
+    assert len(in_flight) == 50 and unread == []
+    assert 2 <= max(in_flight) <= 4 * 2, in_flight
+    untimed = lambda rows: [row[:3] + row[5:] for row in rows]
+    assert untimed(read_rows(windowed)) == untimed(read_rows(serial))
+
+
+DYING_WORKER_CLI = """
+import os, sys
+from gcdcipher import cli
+analyse = cli._corpus_range
+def dying(task):  # forked workers inherit the patch; one dies as if killed
+    if task[0].name == "file_03.bin":
+        os._exit(9)
+    return analyse(task)
+cli._corpus_range = dying
+cli.os.cpu_count = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_corpus_worker_that_dies_is_one_error_line(tmp_path):
+    directory = make_corpus(tmp_path, count=8)
+    report = tmp_path / "report.csv"
+    argv = ["corpus", directory, "--csv", report, "--jobs", "2"]
+    proc = subprocess.run([sys.executable, "-c", DYING_WORKER_CLI, *map(str, argv)], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("error:") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert "error: a corpus worker process ended abruptly" in proc.stderr
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -833,15 +910,19 @@ def spawn_cli(tmp_path, argv, stdout):
 
 
 @pytest.mark.parametrize("stdout", ["full", "closed"])
-@pytest.mark.parametrize("command", ["audit", "selftest"])
+@pytest.mark.parametrize("command", ["audit", "selftest", "corpus"])
 def test_a_failed_or_closed_stdout_exits_1(tmp_path, command, stdout):
     """Buffered stdout, as from a shell: an output smaller than the buffer is
-    written only when it is flushed, which must fail in the command, not at exit."""
+    written only when it is flushed, which must fail in the command, not at exit.
+    corpus's 200 rows pass the 8 KiB buffer, so its write fails with ranges in flight."""
     if stdout == "full" and not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     key = tmp_path / "key"
     key.write_bytes(encrypt_file(b"hello world")[1].to_bytes())
-    argv = {"audit": ["audit", key], "selftest": ["selftest"]}[command]
+    argv = {"audit": ["audit", key], "selftest": ["selftest"],
+            "corpus": ["corpus", tmp_path / "corpus", "--csv", "/dev/stdout", "--jobs", "2"]}[command]
+    if command == "corpus":
+        make_corpus(tmp_path, count=200)
     action = {"full": (os.POSIX_SPAWN_OPEN, 1, "/dev/full", os.O_WRONLY, 0),
               "closed": (os.POSIX_SPAWN_CLOSE, 1)}[stdout]
     code, err, _ = spawn_cli(tmp_path, argv, action)
