@@ -6,7 +6,7 @@ the zero-bit weight sums of both bytes, the remaining product of the first
 byte (a divided by the gcd), and the quotient and remainder of dividing
 the second byte's remaining product by the first's.
 
-All operations are pure functions; there is no shared state.
+All operations are pure functions; the one shared value is a read-only table.
 """
 
 from __future__ import annotations
@@ -34,18 +34,19 @@ class KeyRecord(NamedTuple):
     remainder: int
 
 
+# zero_weight of every byte, summed from its bits once at import: identically
+# 255 - x, so the identity stays a testable property rather than the definition
+_ZERO_WEIGHTS = tuple(sum(w for w in BIT_WEIGHTS if not x & w) for x in range(256))
+
+
 def zero_weight(x: int) -> int:
     """Sum of the positional weights at which a byte has a zero bit.
 
-    Identically 255 - x; computed from the bits so the identity stays a
-    testable property rather than the definition.
+    Read from a 256-entry table of Python ints summed from the bits; the
+    range check comes first, so -1 is refused, not read from the table's end.
     """
     _check_byte(x)
-    total = 0
-    for weight in BIT_WEIGHTS:
-        if not x & weight:
-            total += weight
-    return total
+    return _ZERO_WEIGHTS[x]
 
 
 def encrypt_block(first: int, second: int) -> tuple[int, KeyRecord]:

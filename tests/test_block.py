@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +65,21 @@ def test_zero_weight_rejects_out_of_range():
         zero_weight(256)
     with pytest.raises(ValueError):
         zero_weight(-1)
+
+
+@pytest.mark.parametrize(
+    "x, outcome",
+    [(np.uint8(200), 55), (True, 254), (255.0, TypeError), (256, ValueError), (-1, ValueError)],
+    ids=["numpy-uint8", "bool", "float", "256", "-1"],
+)
+def test_zero_weight_keeps_its_input_contract(x, outcome):
+    # any integer byte gives a Python int; a float is no index, and a value
+    # outside 0..255 is refused, not read from either end of a table
+    if isinstance(outcome, int):
+        assert type(zero_weight(x)) is int and zero_weight(x) == outcome
+    else:
+        with pytest.raises(outcome):
+            zero_weight(x)
 
 
 def test_encrypt_block_golden_vector():

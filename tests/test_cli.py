@@ -1,6 +1,7 @@
 import concurrent.futures
 import contextlib
 import csv
+import gc
 import io
 import os
 import random
@@ -856,6 +857,26 @@ def test_failed_write_leaves_no_output(tmp_path, command):
     assert proc.returncode == 1, proc.stderr
     assert "File too large" in proc.stderr
     assert [p for p in outputs if p.exists()] == []
+
+
+FREEZE_COUNT_CLI = """
+import gc, sys
+from gcdcipher.cli import main
+sys.argv = ["gcdcipher", "selftest"]
+code = main()
+print(code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+def test_only_a_process_started_as_the_cli_freezes_its_heap(capfd):
+    before = gc.get_freeze_count()
+    assert run_cli(["selftest"]) == 0
+    assert gc.get_freeze_count() == before  # frozen garbage would outlive every test
+    proc = subprocess.run([sys.executable, "-c", FREEZE_COUNT_CLI], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.endswith("selftest: PASS\n"), proc.stderr
+    code, frozen = map(int, proc.stderr.split())
+    assert code == 0 and frozen > 0
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
